@@ -18,6 +18,7 @@ Run ``python -m repro.cli --help`` for details.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 from typing import List, Optional, Sequence
@@ -155,8 +156,6 @@ def _load_faults(args: argparse.Namespace, base=None):
             plan = load_fault_plan(handle)
     extra = getattr(args, "vantage_faults", None)
     if extra:
-        import dataclasses
-
         from repro.runtime.faults import FaultPlan
 
         entries = _parse_vantage_faults(extra)
@@ -190,37 +189,29 @@ def _run_pipeline(args: argparse.Namespace):
     context = _resolve_scenario_context(args)
     if context is not None:
         # scenario-context run: the artifact's config/settings/faults/run
-        # are the baseline; explicit CLI flags still override
-        import dataclasses
-
+        # are the baseline
         config = context.config
-        overrides = {}
-        for attr in ("retry_attempts", "scan_workers", "scan_chunk_size",
-                     "vantages", "quorum", "scan_mode", "refresh_interval",
-                     "sample_rate"):
-            value = getattr(args, attr, None)
-            if value is not None:
-                overrides[attr] = value
-        settings = dataclasses.replace(context.settings(), **overrides)
+        settings = context.settings()
         fault_plan = _load_faults(args, base=context.fault_plan)
         scan_days = _scan_days(args, config, run=context.run)
     else:
         config = _resolve_config(args)
-        sample_rate = getattr(args, "sample_rate", None)
         settings = ServiceSettings(
-            gfw_filter_deploy_day=config.gfw_filter_deploy_day,
-            retry_attempts=getattr(args, "retry_attempts", None) or 1,
-            scan_workers=getattr(args, "scan_workers", None) or 1,
-            scan_chunk_size=getattr(args, "scan_chunk_size", None) or 4096,
-            vantages=getattr(args, "vantages", None) or 1,
-            quorum=getattr(args, "quorum", None) or "majority",
-            scan_mode=getattr(args, "scan_mode", None) or "full",
-            refresh_interval=getattr(args, "refresh_interval", None) or 6,
-            # 0.0 is a legal rate (never confirm), so no `or` defaulting
-            sample_rate=sample_rate if sample_rate is not None else 0.0625,
+            gfw_filter_deploy_day=config.gfw_filter_deploy_day
         )
         fault_plan = _load_faults(args)
         scan_days = _scan_days(args, config)
+    # explicit CLI flags override the baseline; an omitted flag keeps
+    # the baseline's value (the ServiceSettings default outside a
+    # scenario context)
+    overrides = {}
+    for attr in ("retry_attempts", "scan_workers", "scan_chunk_size",
+                 "vantages", "quorum", "scan_mode", "refresh_interval",
+                 "sample_rate"):
+        value = getattr(args, attr, None)
+        if value is not None:
+            overrides[attr] = value
+    settings = dataclasses.replace(settings, **overrides)
     internet = build_internet(config)
     service = HitlistService(
         internet, config, settings=settings, fault_plan=fault_plan

@@ -13,7 +13,7 @@ snapshot days so Tables 1/2 and Figures 2-10 can be regenerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.gfw.filter import GfwFilter
@@ -218,9 +218,8 @@ class ScanSnapshot:
     excluded_now: int = 0
     udp53_hit_rate: float = 0.0
     #: faults absorbed during this scan, as :class:`DegradedReason`
-    #: markers ("vantage_outage", "source:<name>",
-    #: "vantage:<vid>:outage", "vantage:<vid>:backoff"); empty for a
-    #: clean scan
+    #: markers (see there for the canonical forms); empty for a clean
+    #: scan
     degraded: Tuple[str, ...] = ()
     #: fleet reconciliation block (roster, re-shard count, quorum
     #: decisions, per-vantage disagreements); None for single-vantage
@@ -229,6 +228,90 @@ class ScanSnapshot:
     #: per-scan observability block: deltas of the deterministic
     #: registry counters in :data:`SCAN_METRIC_COUNTERS`
     metrics: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def stood_down(self) -> bool:
+        """No vantage could probe: the scan kept only input collection."""
+        return DegradedReason.fleet_standdown() in self.degraded
+
+
+class Pacer:
+    """Where a campaign's scans fall (see :meth:`HitlistService.run`).
+
+    The campaign loop scans ``next_day()`` until it is None, forces the
+    ``is_final(day)`` scan full and hands every finished scan to
+    ``advance()``.  A pacer is a dataclass whose fields are its
+    checkpoint state; ``next_index`` counts the scans already run.
+    """
+
+    def state(self) -> Dict[str, object]:
+        return asdict(self)
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object]) -> "Pacer":
+        return cls(**{f.name: state[f.name] for f in fields(cls)})
+
+
+@dataclass
+class FixedSchedule(Pacer):
+    """Replays a list of scan days; the last one is final."""
+
+    scan_days: List[int]
+    next_index: int = 0
+
+    def __post_init__(self) -> None:
+        self.scan_days = list(self.scan_days)
+
+    def next_day(self) -> Optional[int]:
+        days = self.scan_days
+        return days[self.next_index] if self.next_index < len(days) else None
+
+    def is_final(self, day: int) -> bool:
+        return self.next_index + 1 == len(self.scan_days)
+
+    def advance(self, snapshot: ScanSnapshot) -> None:
+        self.next_index += 1
+
+
+@dataclass
+class SelfPaced(Pacer):
+    """Starts each scan only once the previous one has finished.
+
+    A scan's runtime is 5 probes per probed target at ``probes_per_day``,
+    in whole days and never below ``base_interval`` (a stood-down scan
+    probes nothing).  A scan is final, and forced full, when ``day +
+    base_interval > until_day``.  The rule is conservative: a runtime
+    that pushes the next scan past ``until_day`` leaves the campaign's
+    real last scan unforced.
+    """
+
+    probes_per_day: Optional[int]
+    base_interval: int
+    start_day: int
+    until_day: int
+    #: the day the next scan starts (None = ``start_day``)
+    due_day: Optional[int] = None
+    next_index: int = 0
+
+    def __post_init__(self) -> None:
+        if self.probes_per_day is None or self.probes_per_day <= 0:
+            raise ValueError("self-paced scans require settings.probes_per_day")
+        if self.base_interval < 1:
+            # at 0, an empty pool's 0-day runtime would never advance the day
+            raise ValueError(f"base_interval must be >= 1, got {self.base_interval}")
+        if self.due_day is None:
+            self.due_day = self.start_day
+
+    def next_day(self) -> Optional[int]:
+        return self.due_day if self.due_day <= self.until_day else None
+
+    def is_final(self, day: int) -> bool:
+        return day + self.base_interval > self.until_day
+
+    def advance(self, snapshot: ScanSnapshot) -> None:
+        runtime_days = -(-5 * snapshot.probed_target_count // self.probes_per_day)
+        self.due_day += max(self.base_interval, runtime_days)
+        self.next_index += 1
 
 
 @dataclass
@@ -418,8 +501,8 @@ class HitlistService:
         #: per-source last successfully collected day; a failed source
         #: keeps its cursor so the missed window is retried next scan
         self._source_cursor: Dict[str, int] = {}
-        #: schedule left over from a checkpoint (set by resume)
-        self._pending_schedule: Optional[Dict[str, object]] = None
+        #: (pacer, schedule) restored by resume; the next bare run() continues it
+        self._resumed: Optional[Tuple[Pacer, Dict[str, object]]] = None
 
         # seed the accumulated input
         initial = internet.ground_truth.get("initial_input")
@@ -908,56 +991,47 @@ class HitlistService:
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         publish_dir: Optional[str] = None,
+        pacer: Optional[Pacer] = None,
     ) -> HitlistHistory:
-        """Run the whole schedule and return the recorded history.
+        """Run a campaign and return the recorded history.
 
-        With ``checkpoint_every=N`` and ``checkpoint_path`` set, the full
-        live pipeline state is written to disk after every N scans (and
-        once more on completion); a run killed at any point resumes from
-        the file via :meth:`resume` and finishes bit-identically to an
-        uninterrupted run.  ``checkpoint_path`` may name a file
-        (atomically overwritten) or an existing directory (one
-        ``checkpoint-dayNNNNN.ckpt`` per checkpointed scan).
-
-        With ``publish_dir`` each completed scan's publication set is
-        committed to a :class:`repro.publish.store.SnapshotStore` at
-        that directory.  Commits are content-addressed and idempotent,
-        so a kill-and-resume run re-commits already-published scans as
-        byte-identical no-ops; the directory rides in checkpoints like
-        the checkpoint path itself.
-
-        On a service returned by :meth:`resume`, call ``run()`` with no
-        ``scan_days`` to continue the stored schedule; the bootstrap is
-        skipped because the restored APD state already carries it.
+        Scan days come from ``pacer``, or from a :class:`FixedSchedule`
+        over ``scan_days`` (default :func:`default_scan_days`).  The
+        final scan probes the whole pool, so the published list carries
+        no carried-forward divergence.  ``checkpoint_every=N`` with
+        ``checkpoint_path`` (a file, or a directory of per-day files)
+        writes the full live state after every N scans and at the end;
+        :meth:`resume` then finishes bit-identically.  ``publish_dir``
+        commits each working scan to a
+        :class:`repro.publish.store.SnapshotStore`; commits are
+        content-addressed, so resumed runs re-commit as no-ops.  On a
+        service from :meth:`resume`, ``run()`` without ``scan_days`` or
+        ``pacer`` continues the stored campaign without a bootstrap.
         """
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        schedule = self._pending_schedule
-        if scan_days is None and schedule is not None:
-            self._pending_schedule = None
-            scan_days = [int(day) for day in schedule["scan_days"]]
-            start_index = int(schedule["next_index"])
+        if scan_days is not None:
+            if pacer is not None:
+                raise ValueError("pass scan_days or pacer, not both")
+            pacer = FixedSchedule(scan_days)
+        if pacer is None and self._resumed is not None:
+            pacer, schedule = self._resumed
+            self._resumed = None
             prev_day = int(schedule["prev_day"])
             retain_pending = [int(day) for day in schedule["retain_pending"]]
-            if checkpoint_every is None:
-                checkpoint_every = schedule.get("checkpoint_every")
-            if checkpoint_path is None:
-                stored = schedule.get("checkpoint_path")
-                checkpoint_path = str(stored) if stored is not None else None
-            if publish_dir is None:
-                stored = schedule.get("publish_dir")
-                publish_dir = str(stored) if stored is not None else None
+            checkpoint_every = checkpoint_every or schedule.get("checkpoint_every")
+            checkpoint_path = checkpoint_path or schedule.get("checkpoint_path")
+            publish_dir = publish_dir or schedule.get("publish_dir")
         else:
-            if scan_days is None:
-                scan_days = default_scan_days(self.config.final_day)
-            scan_days = list(scan_days)
-            start_index = 0
+            if pacer is None:
+                pacer = FixedSchedule(default_scan_days(self.config.final_day))
             prev_day = -1
             retain_pending = sorted(self.settings.retain_days)
-            if scan_days:
-                self.bootstrap(scan_days[0])
+            first_day = pacer.next_day()
+            if first_day is not None:
+                self.bootstrap(first_day)
         publish_store = None
         if publish_dir is not None:
             # imported lazily: repro.publish builds on hitlist.export,
@@ -968,20 +1042,15 @@ class HitlistService:
         # fork the scan-worker pool(s) once, before the campaign: every
         # scan reuses the warm workers instead of paying fork latency
         # per day
-        if self.fleet is not None:
-            self.fleet.warm(len(self._scan_pool))
-        else:
-            self.engine.warm(len(self._scan_pool))
+        pool = self.fleet if self.fleet is not None else self.engine
+        pool.warm(len(self._scan_pool))
         try:
-            for index in range(start_index, len(scan_days)):
-                day = scan_days[index]
-                # the campaign's last scan always probes everything:
-                # the final published hitlist must carry zero carried-
-                # forward divergence (no-op in full mode)
+            day = pacer.next_day()
+            while day is not None:
                 snapshot = self.run_scan(
-                    day, prev_day, force_full=(index + 1 == len(scan_days))
+                    day, prev_day, force_full=pacer.is_final(day)
                 )
-                if "vantage_outage" not in snapshot.degraded:
+                if not snapshot.stood_down:
                     # retention needs real scan data; during an outage the
                     # pending day waits for the next working scan
                     while retain_pending and day >= retain_pending[0]:
@@ -991,52 +1060,32 @@ class HitlistService:
                         with self.spans.span("publish", day=day):
                             self._commit_publication(publish_store, day)
                 prev_day = day
+                pacer.advance(snapshot)
+                day = pacer.next_day()
                 if (
                     checkpoint_every
                     and checkpoint_path is not None
-                    and ((index + 1) % checkpoint_every == 0 or index + 1 == len(scan_days))
+                    and (pacer.next_index % checkpoint_every == 0 or day is None)
                 ):
-                    self._write_checkpoint(
-                        checkpoint_path, scan_days, index + 1, prev_day,
-                        retain_pending, checkpoint_every, publish_dir,
-                    )
+                    from repro.runtime.checkpoint import checkpoint_service
+
+                    start = self.clock.now()
+                    checkpoint_service(self, checkpoint_path, schedule=dict(
+                        pacer.state(),
+                        prev_day=prev_day,
+                        retain_pending=list(retain_pending),
+                        checkpoint_every=checkpoint_every,
+                        checkpoint_path=checkpoint_path,
+                        publish_dir=publish_dir,
+                    ))
+                    self._m_ckpt_write.observe(self.clock.now() - start)
         finally:
             # the worker pools re-open lazily if the service runs again
-            if self.fleet is not None:
-                self.fleet.close()
-            self.engine.close()
+            pool.close()
         stash = getattr(self, "_last_scan_full", None)
         if stash is not None and stash[0] not in self.history.retained:
             self._retain(stash[0])
         return self.history
-
-    def _write_checkpoint(
-        self,
-        path: str,
-        scan_days: Sequence[int],
-        next_index: int,
-        prev_day: int,
-        retain_pending: Sequence[int],
-        checkpoint_every: Optional[int],
-        publish_dir: Optional[str] = None,
-    ) -> str:
-        from repro.runtime.checkpoint import checkpoint_service
-
-        start = self.clock.now()
-        target = checkpoint_service(
-            self, path,
-            schedule={
-                "scan_days": list(scan_days),
-                "next_index": next_index,
-                "prev_day": prev_day,
-                "retain_pending": list(retain_pending),
-                "checkpoint_every": checkpoint_every,
-                "checkpoint_path": path,
-                "publish_dir": publish_dir,
-            },
-        )
-        self._m_ckpt_write.observe(self.clock.now() - start)
-        return target
 
     def _commit_publication(self, store, day: int):
         """Commit the just-finished scan's publication set to ``store``.
@@ -1085,61 +1134,15 @@ class HitlistService:
         )
 
     def run_adaptive(
-        self,
-        until_day: int,
-        start_day: int = 0,
-        base_interval: int = 1,
+        self, until_day: int, start_day: int = 0, base_interval: int = 1,
+        **run_options,
     ) -> HitlistHistory:
-        """Run with self-pacing scans: the next scan starts only after the
-        current one *finishes*.
-
-        Scan runtime = 5 probes per target / ``settings.probes_per_day``
-        (rounded up to whole days).  With a growing input the cadence
-        degrades exactly as the paper describes — daily scans stretch to
-        multi-day runs, and injection-era pool growth slows the service
-        further.  Requires ``settings.probes_per_day``.
-        """
-        rate = self.settings.probes_per_day
-        if rate is None or rate <= 0:
-            raise ValueError("run_adaptive requires settings.probes_per_day")
-        if base_interval < 1:
-            # with base_interval=0 and an empty pool, runtime_days is 0
-            # and the loop would never advance past `day`
-            raise ValueError(f"base_interval must be >= 1, got {base_interval}")
-        retain_pending = sorted(self.settings.retain_days)
-        self.bootstrap(start_day)
-        if self.fleet is not None:
-            self.fleet.warm(len(self._scan_pool))
-        else:
-            self.engine.warm(len(self._scan_pool))
-        day = start_day
-        prev_day = -1
-        try:
-            while day <= until_day:
-                snapshot = self.run_scan(day, prev_day)
-                while retain_pending and day >= retain_pending[0]:
-                    self._retain(day)
-                    retain_pending.pop(0)
-                prev_day = day
-                # adaptive pacing charges what was actually probed: the
-                # scheduler keeps its priority state across rounds, so
-                # steady-state incremental rounds are cheaper and the
-                # cadence recovers instead of degrading forever.  Full
-                # mode keeps the original pool-sized model bit for bit.
-                probed = (
-                    snapshot.scan_target_count
-                    if self.scheduler is None
-                    else snapshot.probed_target_count
-                )
-                runtime_days = -(-5 * probed // rate)  # ceil
-                day += max(base_interval, runtime_days)
-        finally:
-            if self.fleet is not None:
-                self.fleet.close()
-            self.engine.close()
-        if prev_day >= 0 and prev_day not in self.history.retained:
-            self._retain(prev_day)
-        return self.history
+        """:meth:`run` with a :class:`SelfPaced` pacer at
+        ``settings.probes_per_day`` (required) over ``[start_day,
+        until_day]``; ``run_options`` are those of :meth:`run`."""
+        return self.run(pacer=SelfPaced(
+            self.settings.probes_per_day, base_interval, start_day, until_day
+        ), **run_options)
 
     def _retain(self, day: int) -> None:
         """Store full responder sets for the scan that just ran."""

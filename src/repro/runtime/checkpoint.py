@@ -484,9 +484,12 @@ def resume_service(
     serialized scenario config unless ``internet`` is provided (passing
     the original instance just skips the rebuild — the oracle is a pure
     function of the config).  The returned service continues the stored
-    schedule on its next argument-less :meth:`HitlistService.run` call.
+    campaign, pacer included, on its next argument-less
+    :meth:`HitlistService.run` call.
     """
-    from repro.hitlist.service import HitlistService, ServiceSettings
+    from repro.hitlist.service import (
+        FixedSchedule, HitlistService, SelfPaced, ServiceSettings,
+    )
     from repro.obs.clock import MonotonicClock
     from repro.simnet import build_internet
 
@@ -510,6 +513,9 @@ def resume_service(
         fault_plan=fault_plan,
     )
     restore_service_state(service, payload)
-    service._pending_schedule = dict(payload["schedule"])
+    schedule = dict(payload["schedule"])
+    # only self-paced campaigns store an until_day
+    pacer_cls = SelfPaced if "until_day" in schedule else FixedSchedule
+    service._resumed = (pacer_cls.from_state(schedule), schedule)
     service._m_ckpt_read.observe(clock.now() - read_start)
     return service

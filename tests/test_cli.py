@@ -268,3 +268,45 @@ class TestServeCommand:
         assert [m.scan_day for m in manifests] == [0, 10, 20, 30]
         published = store.read_artifact(store.head_id(), "responsive")
         assert published == (tmp_path / "run" / "responsive.txt").read_text()
+
+
+class TestServiceSettingFlags:
+    """Omitted service flags keep the ServiceSettings defaults; set ones win."""
+
+    @staticmethod
+    def _settings_for(monkeypatch, argv):
+        import repro.cli as cli
+
+        class Captured(Exception):
+            pass
+
+        def capture(internet, config, settings=None, fault_plan=None):
+            raise Captured(settings)
+
+        monkeypatch.setattr(cli, "build_internet", lambda config: None)
+        monkeypatch.setattr(cli, "HitlistService", capture)
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(Captured) as caught:
+            cli._run_pipeline(args)
+        return caught.value.args[0]
+
+    def test_omitted_flags_yield_settings_defaults(self, monkeypatch, tmp_path):
+        from repro.hitlist.service import ServiceSettings
+        from repro.simnet import small_config
+
+        settings = self._settings_for(monkeypatch, [
+            "simulate", "--scan-mode", "incremental", "-o", str(tmp_path),
+        ])
+        assert settings == ServiceSettings(
+            gfw_filter_deploy_day=small_config().gfw_filter_deploy_day,
+            scan_mode="incremental",
+        )
+
+    def test_set_flags_override_defaults(self, monkeypatch, tmp_path):
+        settings = self._settings_for(monkeypatch, [
+            "simulate", "--scan-mode", "incremental", "--refresh-interval", "6",
+            "--sample-rate", "0", "--retry-attempts", "2", "-o", str(tmp_path),
+        ])
+        assert settings.refresh_interval == 6
+        assert settings.sample_rate == 0.0
+        assert settings.retry_attempts == 2
