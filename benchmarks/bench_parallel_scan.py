@@ -38,9 +38,9 @@ from repro.scan import ScanEngine
 from repro.simnet import build_internet, default_config
 
 QNAME = "www.google.com"
-#: a few scan days so per-scan noise averages out.  Pre-GFW-deploy days:
-#: injection synthesis is decoded serially in the parent, so GFW-era
-#: days measure decode throughput, not worker scaling — the floor
+#: a few scan days so per-scan noise averages out.  Pre-GFW-era days:
+#: forged answers are merged and cleaned serially in the parent, so
+#: GFW-era days measure that merge, not worker scaling — the floor
 #: guards the parallelizable probe stage
 SCAN_DAYS = (0, 8, 16)
 CHUNK_SIZE = 4096

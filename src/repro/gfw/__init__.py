@@ -10,6 +10,7 @@ filtering scan results going forward.
 from repro.gfw.detector import (
     InjectionEvidence,
     Ipv4Whois,
+    answer_evidence,
     classify_response,
     classify_target,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "InjectionEvidence",
     "Ipv4Whois",
     "ScanCleaningResult",
+    "answer_evidence",
     "classify_response",
     "classify_target",
     "impact_report",

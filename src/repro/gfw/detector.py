@@ -11,16 +11,18 @@ The detector only uses observable evidence (the paper's Sec. 4.2):
   the path answer independently).
 
 Ground-truth flags (``DnsResponse.injected``) are never consulted.
+Every test above reduces to :func:`answer_evidence` on one answer
+record, which response objects and packed scan rows share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.net.teredo import decode_teredo, is_teredo
-from repro.protocols import DnsResponse, DnsStatus, RecordType
+from repro.net.teredo import is_teredo
+from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
 
 
 class InjectionEvidence(enum.Enum):
@@ -65,6 +67,55 @@ DEFAULT_WHOIS = Ipv4Whois(
 _DEFAULT_OWNERS = frozenset((15169,))  # www.google.com -> Google
 
 
+def answer_evidence(
+    rtype: RecordType,
+    address: int,
+    expected_rtype: RecordType = RecordType.AAAA,
+    whois: Ipv4Whois = DEFAULT_WHOIS,
+    owners: Container[int] = _DEFAULT_OWNERS,
+) -> Optional[InjectionEvidence]:
+    """Evidence of forgery carried by one answer record of a NOERROR response.
+
+    The single per-answer test: :func:`classify_response` runs it over a
+    response object's answers, the GFW filter over the packed rows of a
+    scan's response table.  ``owners`` are the ASNs that legitimately
+    serve the queried domain.
+    """
+    if rtype is RecordType.A:
+        if expected_rtype is RecordType.AAAA:
+            return InjectionEvidence.A_FOR_AAAA
+        owner = whois.owner_of(address)
+        if owner is not None and owner not in owners:
+            return InjectionEvidence.UNRELATED_OWNER
+    elif rtype is RecordType.AAAA and is_teredo(address):
+        return InjectionEvidence.TEREDO_ANSWER
+    return None
+
+
+def response_evidence(
+    status: DnsStatus,
+    answers: Sequence[DnsAnswer],
+    expected_rtype: RecordType = RecordType.AAAA,
+    whois: Ipv4Whois = DEFAULT_WHOIS,
+    domain_owner_asns: Iterable[int] = _DEFAULT_OWNERS,
+) -> Optional[InjectionEvidence]:
+    """:func:`classify_response` on a response's status and answers."""
+    if status is not DnsStatus.NOERROR:
+        return None
+    owners = (
+        domain_owner_asns
+        if domain_owner_asns is _DEFAULT_OWNERS
+        else set(domain_owner_asns)
+    )
+    for answer in answers:
+        kind = answer_evidence(
+            answer.rtype, answer.address, expected_rtype, whois, owners
+        )
+        if kind is not None:
+            return kind
+    return None
+
+
 def classify_response(
     response: DnsResponse,
     expected_rtype: RecordType = RecordType.AAAA,
@@ -72,23 +123,10 @@ def classify_response(
     domain_owner_asns: Iterable[int] = _DEFAULT_OWNERS,
 ) -> Optional[InjectionEvidence]:
     """Evidence of forgery carried by a single response, if any."""
-    if response.status is not DnsStatus.NOERROR:
-        return None
-    owners = (
-        domain_owner_asns
-        if domain_owner_asns is _DEFAULT_OWNERS
-        else set(domain_owner_asns)
+    return response_evidence(
+        response.status, response.answers, expected_rtype, whois,
+        domain_owner_asns,
     )
-    for answer in response.answers:
-        if answer.rtype is RecordType.A and expected_rtype is RecordType.AAAA:
-            return InjectionEvidence.A_FOR_AAAA
-        if answer.rtype is RecordType.AAAA and is_teredo(answer.address):
-            return InjectionEvidence.TEREDO_ANSWER
-        if answer.rtype is RecordType.A:
-            owner = whois.owner_of(answer.address)
-            if owner is not None and owner not in owners:
-                return InjectionEvidence.UNRELATED_OWNER
-    return None
 
 
 def classify_target(

@@ -15,22 +15,40 @@ Two roles, matching the paper's deployment in February 2022:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from itertools import repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
     InjectionEvidence,
     Ipv4Whois,
+    answer_evidence,
     classify_target,
+    response_evidence,
 )
-
 from repro.net.teredo import is_teredo
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import RecordType
+from repro.scan.responses import ResponseTable
 from repro.scan.zmap import Udp53Result
 
 _MISSING = object()
+
+
+def _ipv4s_of(rtype: RecordType, addresses: Iterable[int]) -> Iterable[int]:
+    """IPv4s named by A or Teredo AAAA answers of one type (attribution)."""
+    if rtype is RecordType.A:
+        return addresses
+    if rtype is RecordType.AAAA:
+        # decode_teredo(...).client_ipv4 without building the
+        # TeredoAddress (RFC 4380 ones-complement client bits)
+        return [
+            (address & 0xFFFFFFFF) ^ 0xFFFFFFFF
+            for address in addresses if is_teredo(address)
+        ]
+    return ()
 
 
 @dataclass
@@ -65,26 +83,18 @@ class GfwFilter:
                 "Forgery evidence observed in UDP/53 responses, by kind.",
                 ("kind",))
 
-    def _attribute_answers(self, responses) -> None:
+    def _attribute(self, ipv4s: Iterable[int], times: int = 1) -> None:
+        """Count forged-answer IPv4s, ``times`` each, against their owners."""
         # forged answers recycle a small IPv4 pool, so owner lookups are
         # memoized (the whois scan dominated the per-scan cleaning cost)
         owner_cache = self._owner_cache
         owners = self.forged_answer_owners
-        for response in responses:
-            for answer in response.answers:
-                if answer.rtype is RecordType.A:
-                    ipv4 = answer.address
-                elif answer.rtype is RecordType.AAAA and is_teredo(answer.address):
-                    # decode_teredo(...).client_ipv4 without building the
-                    # TeredoAddress (RFC 4380 ones-complement client bits)
-                    ipv4 = (answer.address & 0xFFFFFFFF) ^ 0xFFFFFFFF
-                else:
-                    continue
-                owner = owner_cache.get(ipv4, _MISSING)
-                if owner is _MISSING:
-                    owner = owner_cache[ipv4] = self._whois.owner_of(ipv4)
-                if owner is not None:
-                    owners[owner] = owners.get(owner, 0) + 1
+        for ipv4, count in Counter(ipv4s).items():
+            owner = owner_cache.get(ipv4, _MISSING)
+            if owner is _MISSING:
+                owner = owner_cache[ipv4] = self._whois.owner_of(ipv4)
+            if owner is not None:
+                owners[owner] = owners.get(owner, 0) + count * times
 
     def clean_scan(self, result: Udp53Result) -> ScanCleaningResult:
         """Split one scan's responders into clean and injected.
@@ -93,25 +103,100 @@ class GfwFilter:
         responder, but classifies each response once: a target is
         injected exactly when it carries record-level evidence
         (``MULTIPLE_RESPONSES`` alone is corroborating, not sufficient).
+        A scan engine's packed response table is classified row by row
+        without building response objects; any other mapping goes
+        through :func:`classify_target`.  Both reduce to
+        :func:`answer_evidence`.
         """
         cleaning = ScanCleaningResult(day=result.day)
+        if isinstance(result.responses, ResponseTable):
+            self._clean_table(result.responders, result.responses, cleaning)
+        else:
+            self._clean_mapping(result.responders, result.responses, cleaning)
+        self.ever_injected.update(cleaning.injected_responders)
+        if self._metrics is not None:
+            # one increment per kind and scan, not per responder
+            for kind, count in cleaning.evidence_counts.items():
+                self._m_evidence.labels(kind=kind.value).inc(count)
+        return cleaning
+
+    def _clean_mapping(
+        self, responders: Set[int], responses_of: Mapping,
+        cleaning: ScanCleaningResult,
+    ) -> None:
+        evidence = cleaning.evidence_counts
         multiple = InjectionEvidence.MULTIPLE_RESPONSES
-        for responder in result.responders:
-            responses = result.responses.get(responder, ())
+        for responder in responders:
+            responses = responses_of.get(responder, ())
             counts = classify_target(responses)
             if any(kind is not multiple for kind in counts):
                 cleaning.injected_responders.add(responder)
                 for kind, count in counts.items():
-                    cleaning.evidence_counts[kind] = (
-                        cleaning.evidence_counts.get(kind, 0) + count
-                    )
-                    if self._metrics is not None:
-                        self._m_evidence.labels(kind=kind.value).inc(count)
-                self._attribute_answers(responses)
+                    evidence[kind] = evidence.get(kind, 0) + count
+                self._attribute(
+                    ipv4
+                    for response in responses
+                    for answer in response.answers
+                    for ipv4 in _ipv4s_of(answer.rtype, (answer.address,))
+                )
             else:
                 cleaning.clean_responders.add(responder)
-        self.ever_injected.update(cleaning.injected_responders)
-        return cleaning
+
+    def _clean_table(
+        self, responders: Set[int], table: ResponseTable,
+        cleaning: ScanCleaningResult,
+    ) -> None:
+        """Classify packed rows: each forged answer, and each genuine
+        response variant once per scan.  Evidence is tallied per scan
+        (``InjectionEvidence`` hashes in Python, so no per-row dicts)."""
+        rtype = table.forged_rtype
+        injected = cleaning.injected_responders
+        found: List[InjectionEvidence] = []  # record-level, injected rows
+        multiple = 0
+        forged_seen: List[int] = []  # forged answers of injected rows
+        variant_kind: Dict[int, Optional[InjectionEvidence]] = {}
+        variant_rows: Dict[int, int] = {}  # injected rows per variant
+        for responder, variant, forged in table.observed():
+            if responder not in responders:
+                continue
+            kinds = [
+                kind for kind in map(answer_evidence, repeat(rtype), forged)
+                if kind is not None
+            ]
+            if variant:
+                kind = variant_kind.get(variant, _MISSING)
+                if kind is _MISSING:
+                    kind = variant_kind[variant] = response_evidence(
+                        *table.genuine(variant)
+                    )
+                if kind is not None:
+                    kinds.append(kind)
+            if not kinds:
+                continue
+            injected.add(responder)
+            found += kinds
+            total = len(forged) + (1 if variant else 0)
+            if total > 1:
+                multiple += total
+            forged_seen += forged
+            if variant:
+                variant_rows[variant] = variant_rows.get(variant, 0) + 1
+        evidence = cleaning.evidence_counts
+        for kind in InjectionEvidence:
+            count = found.count(kind)
+            if count:
+                evidence[kind] = count
+        if multiple:
+            evidence[InjectionEvidence.MULTIPLE_RESPONSES] = multiple
+        self._attribute(_ipv4s_of(rtype, forged_seen))
+        for variant, rows in variant_rows.items():
+            self._attribute((
+                ipv4 for answer in table.genuine(variant)[1]
+                for ipv4 in _ipv4s_of(answer.rtype, (answer.address,))
+            ), rows)
+        clean = set(responders)
+        clean -= injected
+        cleaning.clean_responders = clean
 
     def note_other_protocol_responders(self, responders: Set[int]) -> None:
         """Record genuine responsiveness to any non-DNS protocol."""

@@ -9,6 +9,7 @@ the measurement ethics of Sec. 3.3.
 
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import ScanEngine
+from repro.scan.responses import ResponseTable
 from repro.scan.scheduler import CarriedScan, IncrementalScheduler, ScanPlan
 from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
 from repro.scan.yarrp import YarrpTracer
@@ -24,6 +25,7 @@ __all__ = [
     "FingerprintClass",
     "IncrementalScheduler",
     "PrefixFingerprint",
+    "ResponseTable",
     "ScanEngine",
     "ScanPlan",
     "ScanResult",

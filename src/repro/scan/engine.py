@@ -44,14 +44,15 @@ from repro._util import mix64
 from repro.net.teredo import TEREDO_PREFIX
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, Protocol, RecordType
+from repro.protocols import DnsAnswer, Protocol, RecordType
 from repro.runtime.faults import RETRY_SALT
 from repro.scan import wire
+from repro.scan.responses import ResponseTable
 from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes
 from repro.scan.wire import PackedChunkResult
 from repro.simnet.gfwsim import _TEREDO_SERVERS, InjectionMode
 from repro.simnet.hosts import DnsBehavior
-from repro.simnet.internet import ControlNsQuery
+from repro.simnet.internet import ControlNsQuery, SimInternet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scan.scheduler import CarriedScan
@@ -93,9 +94,9 @@ class _ScanContext:
 
     __slots__ = (
         "attempts", "loss_threshold", "threshold16", "fast_inner",
-        "udp_inner", "inject_possible", "gfw_era", "resolved", "answers",
-        "is_control", "mday", "referral_answers", "broken_answers",
-        "inject_day_hash", "burst_cut", "inj_wide", "inj_ranges",
+        "udp_inner", "inject_possible", "gfw_era", "resolved",
+        "is_control", "mday", "inject_day_hash", "burst_cut", "inj_wide",
+        "inj_ranges",
     )
 
     def __init__(self, scanner: "ZMapScanner", day: int, qname: str) -> None:
@@ -135,16 +136,21 @@ class _ScanContext:
             for base, length, _owner in gfw._pool.ranges
         )
         self.resolved = internet.resolve_name(qname)
-        self.answers = tuple(
-            DnsAnswer(rtype=RecordType.AAAA, address=address)
-            for address in self.resolved
-        )
         self.is_control = internet._is_control_name(qname)
         self.mday = mix64(day)
-        self.referral_answers = (
-            DnsAnswer(rtype=RecordType.NS, target="a.root-servers.net"),
-        )
-        self.broken_answers = (DnsAnswer(rtype=RecordType.AAAA, address=1),)
+
+
+def _response_table(internet: SimInternet, day: int, qname: str) -> ResponseTable:
+    """An empty response table for one scan of ``qname`` on ``day``."""
+    era = internet.gfw.active_era(day)
+    return ResponseTable(
+        qname,
+        tuple(
+            DnsAnswer(rtype=RecordType.AAAA, address=address)
+            for address in internet.resolve_name(qname)
+        ),
+        wide=era is not None and era.mode is not InjectionMode.A_RECORD,
+    )
 
 
 def _scan_chunk_packed(
@@ -491,9 +497,6 @@ class ScanEngine:
         self._thread_state: Optional[_WorkerState] = None
         #: inline-path scan-state memo (mirrors _WorkerState's)
         self._crosses_cache: Dict[Optional[int], bool] = {}
-        #: decode-side memo of injected-answer objects, keyed by
-        #: (wide, payload); forged answers repeat heavily across scans
-        self._answer_cache: Dict[Tuple[bool, int], DnsAnswer] = {}
         self._m_chunks = None
         if metrics is not None:
             # volatile: the chunk count tracks scan_chunk_size, a host
@@ -616,15 +619,16 @@ class ScanEngine:
         probed responders into the merged results without probing them:
         their addresses join the responder sets and target counts after
         the probe metrics flush, so ``repro_probes_sent_total`` reflects
-        only real probes.  Carried UDP/53 responders carry no response
-        objects — injection re-attribution happens in the scheduler's
-        ``absorb`` step.
+        only real probes.  Carried UDP/53 responders have no row in the
+        response table — injection re-attribution happens in the
+        scheduler's ``absorb`` step.
         """
         from repro.scan.zmap import ScanResult, Udp53Result
 
         scanner = self._scanner
         plan = scanner._fault_plan
-        udp53 = Udp53Result(day=day, qname=qname)
+        table = _response_table(scanner._internet, day, qname)
+        udp53 = Udp53Result(day=day, qname=qname, responses=table)
         if plan is not None and plan.vantage_down(day):
             empty = {
                 protocol: ScanResult(
@@ -664,12 +668,13 @@ class ScanEngine:
             udp_draws += chunk_result.udp_retry_draws
             for found, idx in zip(fast_sets, chunk_result.fast_idx):
                 found.update(map(getitem, idx))
-            self._decode_udp(chunk_result, targets, ctx, udp53, control_entries)
+            self._decode_udp(chunk_result, targets, ctx, table, control_entries)
             if scannable is not None:
                 bits = chunk_result.scannable_bits
                 for offset in wire.iter_bitmask(bits, stop - start):
                     scannable.append(targets[start + offset])
         udp53.targets = count
+        udp53.responders.update(table)
         log = scanner._internet.control_ns_log
         for logged_qname, egress in control_entries:
             log.append(ControlNsQuery(qname=logged_qname, source=egress))
@@ -698,7 +703,7 @@ class ScanEngine:
                     if address in udp53.responders:
                         udp_rate_limited += 1
                     udp53.responders.discard(address)
-                    udp53.responses.pop(address, None)
+                    table.drop(address)
 
         self._flush_metrics(
             count, burst_targets, fast_draws + udp_draws, fast_sets,
@@ -724,92 +729,27 @@ class ScanEngine:
         chunk: PackedChunkResult,
         targets: List[int],
         ctx: _ScanContext,
-        udp53: "Udp53Result",
+        table: ResponseTable,
         control_entries: List[Tuple[str, int]],
     ) -> None:
-        """Synthesize the chunk's UDP/53 hits from the packed wire format.
+        """Copy the chunk's UDP/53 hits into the scan's response table.
 
-        Response objects (including injected forgeries) are built here
-        in the parent, in target order, exactly as the scalar pass built
-        them in place — responder sets, response tuples and control-log
-        order are byte-compatible with any worker count.
+        Rows stay packed (responses are built only when a caller reads
+        one); control-domain NS log entries are collected here, in
+        target order, so the log is byte-compatible with any worker
+        count.
         """
-        udp_idx = chunk.udp_idx
-        if not udp_idx:
+        table.extend(chunk, targets)
+        if not ctx.is_control:
             return
-        qname = udp53.qname
-        wide = chunk.inj_wide
-        rtype = RecordType.AAAA if wide else RecordType.A
-        counts = chunk.inj_counts
-        payloads = chunk.inj_answers
-        cache = self._answer_cache
-        responders_add = udp53.responders.add
-        responses_map = udp53.responses
-        answers = ctx.answers
-        referral_answers = ctx.referral_answers
-        broken_answers = ctx.broken_answers
-        ci = 0  # cursor into inj_counts
-        ai = 0  # cursor into inj_answers slots
-        for target_index, meta in zip(udp_idx, chunk.udp_meta):
-            target = targets[target_index]
-            responses: List[DnsResponse] = []
-            if meta & wire.FLAG_INJECTED:
-                count = counts[ci]
-                ci += 1
-                for _ in range(count):
-                    if wide:
-                        payload = payloads[ai] | (payloads[ai + 1] << 64)
-                        ai += 2
-                    else:
-                        payload = payloads[ai]
-                        ai += 1
-                    key = (wide, payload)
-                    answer = cache.get(key)
-                    if answer is None:
-                        answer = DnsAnswer(rtype=rtype, address=payload)
-                        cache[key] = answer
-                    responses.append(DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=(answer,),
-                        injected=True,
-                    ))
-            variant = meta & wire.GENUINE_MASK
-            if variant:
-                if variant == wire.GENUINE_NOERROR:
-                    if meta & wire.FLAG_CONTROL:
-                        egress = target
-                        if meta & wire.FLAG_PROXY:
-                            egress = target ^ mix64(target) & 0xFFFF
-                        control_entries.append((qname, egress))
-                    genuine = DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=answers,
-                    )
-                elif variant == wire.GENUINE_REFUSED:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname, status=DnsStatus.REFUSED
-                    )
-                elif variant == wire.GENUINE_REFERRAL:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=referral_answers,
-                    )
-                elif variant == wire.GENUINE_SERVFAIL:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname, status=DnsStatus.SERVFAIL
-                    )
-                elif variant == wire.GENUINE_BROKEN_ANSWER:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=broken_answers,
-                    )
-                else:  # GENUINE_NXDOMAIN
-                    genuine = DnsResponse(
-                        responder=target, qname=qname, status=DnsStatus.NXDOMAIN
-                    )
-                responses.append(genuine)
-            responders_add(target)
-            responses_map[target] = tuple(responses)
+        qname = table.qname
+        for target_index, meta in zip(chunk.udp_idx, chunk.udp_meta):
+            if meta & wire.FLAG_CONTROL:
+                target = targets[target_index]
+                egress = target
+                if meta & wire.FLAG_PROXY:
+                    egress = target ^ mix64(target) & 0xFFFF
+                control_entries.append((qname, egress))
 
     def _run_chunks(
         self,

@@ -1,0 +1,213 @@
+"""Per-scan UDP/53 response table: packed rows, responses built on read.
+
+A GFW-era scan hears tens of thousands of forged answers.  Building a
+``DnsResponse`` (plus its ``DnsAnswer`` and tuples) for each of them in
+the parent, only for the GFW filter to walk them once and drop them,
+made the merge the most expensive step of such a scan, most of it in
+cyclic-GC passes set off by the allocations.  :class:`ResponseTable`
+keeps the engine's packed chunk output instead: one int code per
+responder plus one flat payload array per scan.
+
+A row code packs three fields::
+
+    code = meta | count << 8 | offset << 24
+
+``meta`` is the :mod:`repro.scan.wire` meta byte (genuine variant and
+flags), ``count`` the number of forged answers and ``offset`` the first
+payload slot of those answers in the table's payload array (one slot per
+A-record answer, two — ``lo, hi`` — per Teredo AAAA answer).
+
+The table is a read-only ``Mapping[int, Tuple[DnsResponse, ...]]``:
+``table[responder]`` builds exactly the responses the scalar
+``ZMapScanner.scan_udp53`` returns, and ``==`` against a plain dict
+compares those.  The GFW filter reads rows through :meth:`observed`
+without building any object.
+"""
+
+from __future__ import annotations
+
+from array import array
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+
+from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
+from repro.scan import wire
+from repro.scan.wire import PackedChunkResult
+
+_COUNT_SHIFT = 8
+_COUNT_MASK = 0xFFFF
+_OFFSET_SHIFT = 24
+
+_REFERRAL_ANSWERS = (DnsAnswer(rtype=RecordType.NS, target="a.root-servers.net"),)
+#: a broken resolver's bogus answer: ``::1``
+_BROKEN_ANSWERS = (DnsAnswer(rtype=RecordType.AAAA, address=1),)
+
+
+class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
+    """The UDP/53 responses of one scan, decoded per row on access.
+
+    ``resolved`` is the AAAA answer set an open resolver returns for
+    ``qname``; ``wide`` says forged answers are Teredo AAAA records
+    (two payload slots) rather than A records.  Both are per-scan
+    constants, so a table is only merged with tables of the same scan.
+    """
+
+    __slots__ = ("qname", "resolved", "wide", "_rows", "_payloads", "_genuine", "_bases")
+
+    def __init__(
+        self, qname: str, resolved: Tuple[DnsAnswer, ...] = (), wide: bool = False
+    ) -> None:
+        self.qname = qname
+        self.resolved = resolved
+        self.wide = wide
+        #: responder -> row code, in target order
+        self._rows: Dict[int, int] = {}
+        self._payloads = array("Q")
+        #: wire.GENUINE_* variant -> (status, answers) of the genuine response
+        self._genuine: Dict[int, Tuple[DnsStatus, Tuple[DnsAnswer, ...]]] = {
+            wire.GENUINE_REFUSED: (DnsStatus.REFUSED, ()),
+            wire.GENUINE_REFERRAL: (DnsStatus.NOERROR, _REFERRAL_ANSWERS),
+            wire.GENUINE_SERVFAIL: (DnsStatus.SERVFAIL, ()),
+            wire.GENUINE_BROKEN_ANSWER: (DnsStatus.NOERROR, _BROKEN_ANSWERS),
+            wire.GENUINE_NXDOMAIN: (DnsStatus.NXDOMAIN, ()),
+            wire.GENUINE_NOERROR: (DnsStatus.NOERROR, resolved),
+        }
+        #: (source table, payload base) pairs already merged by :meth:`take`
+        self._bases: List[Tuple["ResponseTable", int]] = []
+
+    @property
+    def forged_rtype(self) -> RecordType:
+        """Record type of every forged answer in this scan."""
+        return RecordType.AAAA if self.wide else RecordType.A
+
+    def empty_copy(self) -> "ResponseTable":
+        """An empty table for the same scan (a merge target)."""
+        return ResponseTable(self.qname, self.resolved, self.wide)
+
+    # ------------------------------------------------------------------
+    # building (scan engine and fleet merge)
+
+    def extend(self, chunk: PackedChunkResult, targets: Sequence[int]) -> None:
+        """Append one chunk's UDP/53 hits; ``targets`` maps hit indices."""
+        if not chunk.udp_idx:
+            return
+        rows = self._rows
+        responders = map(targets.__getitem__, chunk.udp_idx)
+        counts = chunk.inj_counts
+        if not counts:
+            rows.update(zip(responders, chunk.udp_meta))
+            return
+        width = 2 if chunk.inj_wide else 1
+        offset = len(self._payloads)
+        ci = 0  # cursor into inj_counts
+        for responder, meta in zip(responders, chunk.udp_meta):
+            if meta & wire.FLAG_INJECTED:
+                count = counts[ci]
+                ci += 1
+                rows[responder] = (
+                    meta | count << _COUNT_SHIFT | offset << _OFFSET_SHIFT
+                )
+                offset += count * width
+            else:
+                rows[responder] = meta
+        self._payloads.extend(chunk.inj_answers)
+
+    def drop(self, responder: int) -> None:
+        """Remove ``responder``'s row, if any (per-AS rate limiting)."""
+        self._rows.pop(responder, None)
+
+    def take(self, source: "ResponseTable", responders: Iterable[int]) -> None:
+        """Copy ``source``'s rows for ``responders`` without decoding them.
+
+        Every responder must be a row of ``source``.  The first take from
+        a source appends its payload array once; row offsets are rebased
+        onto it.
+        """
+        for known, base in self._bases:
+            if known is source:
+                break
+        else:
+            if (source.qname, source.resolved, source.wide) != (
+                self.qname, self.resolved, self.wide
+            ):
+                raise ValueError("cannot merge response tables of different scans")
+            base = len(self._payloads)
+            self._payloads.extend(source._payloads)
+            self._bases.append((source, base))
+        rows = self._rows
+        src = source._rows
+        shift = base << _OFFSET_SHIFT
+        for responder in responders:
+            code = src[responder]
+            # only rows with forged answers carry an offset
+            rows[responder] = code + shift if code >> _COUNT_SHIFT else code
+
+    # ------------------------------------------------------------------
+    # reading
+
+    def _forged(self, code: int) -> Sequence[int]:
+        """Forged answer addresses of one row."""
+        count = code >> _COUNT_SHIFT & _COUNT_MASK
+        if not count:
+            return ()
+        start = code >> _OFFSET_SHIFT
+        payloads = self._payloads
+        if not self.wide:
+            return payloads[start:start + count]
+        stop = start + 2 * count
+        return [
+            lo | hi << 64
+            for lo, hi in zip(payloads[start:stop:2], payloads[start + 1:stop:2])
+        ]
+
+    def genuine(self, variant: int) -> Tuple[DnsStatus, Tuple[DnsAnswer, ...]]:
+        """Status and answers of a genuine response variant."""
+        return self._genuine[variant]
+
+    def observed(self) -> Iterator[Tuple[int, int, Sequence[int]]]:
+        """``(responder, variant, forged)`` per row, in row order.
+
+        ``variant`` is the row's ``wire.GENUINE_*`` code (see
+        :meth:`genuine`; ``GENUINE_NONE`` means no genuine answer) and
+        ``forged`` the addresses of its forged answers, one response
+        each, all of type :attr:`forged_rtype`.
+        """
+        forged = self._forged
+        mask = wire.GENUINE_MASK
+        for responder, code in self._rows.items():
+            yield responder, code & mask, forged(code)
+
+    def __getitem__(self, responder: int) -> Tuple[DnsResponse, ...]:
+        code = self._rows[responder]
+        qname = self.qname
+        rtype = self.forged_rtype
+        responses = [
+            DnsResponse(
+                responder=responder, qname=qname, status=DnsStatus.NOERROR,
+                answers=(DnsAnswer(rtype=rtype, address=address),),
+                injected=True,
+            )
+            for address in self._forged(code)
+        ]
+        variant = code & wire.GENUINE_MASK
+        if variant:
+            status, answers = self._genuine[variant]
+            responses.append(DnsResponse(
+                responder=responder, qname=qname, status=status, answers=answers,
+            ))
+        return tuple(responses)
+
+    def __contains__(self, responder: object) -> bool:
+        return responder in self._rows
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<ResponseTable qname={self.qname!r} rows={len(self._rows)} "
+            f"payload_slots={len(self._payloads)}>"
+        )
+

@@ -18,8 +18,10 @@ replaced it:
   integers, and a scannable bitmask row for rate-limited scans.
 
 Indices are positions in the scan's full target list, so the parent
-decodes a responder with one list lookup and synthesizes DNS response
-objects only for actual hits.  Everything in this module is structural:
+decodes a responder with one list lookup; the UDP/53 hit arrays are
+copied as they are into the scan's packed response table
+(:mod:`repro.scan.responses`), which builds DNS response objects only
+when a caller reads one.  Everything in this module is structural:
 encode/decode round-trips bit-exactly (property-tested in
 ``tests/scan/test_wire.py``) and carries no scan semantics.
 """

@@ -15,7 +15,7 @@ forgeries poison the hitlist (Sec. 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro._util import mix64
 from repro.obs.metrics import MetricsRegistry
@@ -48,15 +48,20 @@ class Udp53Result:
     """Outcome of a UDP/53 scan, keeping full responses for inspection.
 
     ``responders`` contains every target ZMap would report as successful;
-    ``responses`` maps each responder to the responses received (several
-    per target when injectors fire).
+    ``responses`` maps each probed responder to the responses received
+    (several per target when injectors fire).  The scan engine fills it
+    with a packed :class:`~repro.scan.responses.ResponseTable` that
+    builds a responder's response tuple only when it is read; the scalar
+    :meth:`ZMapScanner.scan_udp53` and hand-built results use a plain
+    dict.  Responders carried forward by the incremental scheduler have
+    no entry.
     """
 
     day: int
     qname: str
     targets: int = 0
     responders: Set[int] = field(default_factory=set)
-    responses: Dict[int, Tuple[DnsResponse, ...]] = field(default_factory=dict)
+    responses: Mapping[int, Tuple[DnsResponse, ...]] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:

@@ -573,19 +573,14 @@ class VantageFleet:
                 merged |= per_results[i][protocol].responders - witness_set
             fast_sets[protocol] = merged
         # non-witness shards are disjoint across members, so each
-        # member's response map lands unconflicted in the merged one
+        # member's response rows land unconflicted in the merged table
         udp_responders: Set[int] = set()
-        udp_responses: Dict[int, tuple] = {}
+        udp_responses = per_udp[live_indices[0]].responses.empty_copy()
         for i in live_indices:
             udp_i = per_udp[i]
             keep = udp_i.responders - witness_set
             udp_responders |= keep
-            if len(keep) == len(udp_i.responses):
-                udp_responses.update(udp_i.responses)
-            else:
-                responses = udp_i.responses
-                for responder in keep:
-                    udp_responses[responder] = responses[responder]
+            udp_responses.take(udp_i.responses, keep)
 
         # Witness votes via set algebra: targets sharing a panel are
         # reconciled together, one intersection per (panel member,
@@ -650,9 +645,9 @@ class VantageFleet:
                     # design
                     for target in accepted:
                         for i in panel:
-                            responses = per_udp[i].responses.get(target)
-                            if responses is not None:
-                                udp_responses[target] = responses
+                            responses = per_udp[i].responses
+                            if target in responses:
+                                udp_responses.take(responses, (target,))
                                 break
         for vid, split_votes in dissent.items():
             report.per_vantage[vid]["dissent"] = split_votes

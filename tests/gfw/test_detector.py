@@ -1,8 +1,12 @@
 """Tests for the GFW response classifier (observable evidence only)."""
 
+import pytest
+
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
     InjectionEvidence,
+    Ipv4Whois,
+    answer_evidence,
     classify_response,
     classify_target,
     is_injected_target,
@@ -22,6 +26,10 @@ FACEBOOK_A = DnsAnswer(rtype=RecordType.A, address=0x1F0D5801)  # inside 31.13.8
 TEREDO_AAAA = DnsAnswer(
     rtype=RecordType.AAAA, address=encode_teredo(0x41EA9E00, 0x1F0D5801, 4444)
 )
+NS_REFERRAL = DnsAnswer(rtype=RecordType.NS, target="a.root-servers.net")
+GOOGLE_A = DnsAnswer(rtype=RecordType.A, address=0x08080808)
+#: DEFAULT_WHOIS plus Google's 8.8.0.0/16, the queried domain's owner
+WHOIS_WITH_GOOGLE = Ipv4Whois(ranges=DEFAULT_WHOIS.ranges + ((0x08080000, 16, 15169),))
 
 
 class TestClassifyResponse:
@@ -47,6 +55,56 @@ class TestClassifyResponse:
 
     def test_empty_answers_not_flagged(self):
         assert classify_response(response()) is None
+
+
+class TestAnswerEvidence:
+    def test_a_for_aaaa(self):
+        assert (
+            answer_evidence(RecordType.A, FACEBOOK_A.address)
+            is InjectionEvidence.A_FOR_AAAA
+        )
+
+    def test_teredo_aaaa(self):
+        assert (
+            answer_evidence(RecordType.AAAA, TEREDO_AAAA.address)
+            is InjectionEvidence.TEREDO_ANSWER
+        )
+
+    def test_plain_aaaa(self):
+        assert answer_evidence(RecordType.AAAA, GOOGLE_AAAA.address) is None
+
+    def test_unrelated_owner_when_a_expected(self):
+        assert (
+            answer_evidence(RecordType.A, FACEBOOK_A.address,
+                            expected_rtype=RecordType.A)
+            is InjectionEvidence.UNRELATED_OWNER
+        )
+
+    def test_domain_owner_when_a_expected(self):
+        assert answer_evidence(
+            RecordType.A, GOOGLE_A.address, expected_rtype=RecordType.A,
+            whois=WHOIS_WITH_GOOGLE,
+        ) is None
+
+    def test_ns_referral(self):
+        assert answer_evidence(RecordType.NS, NS_REFERRAL.address) is None
+
+    def test_error_status_through_classify_response(self):
+        # the answer alone is evidence; a non-NOERROR response never is
+        assert answer_evidence(RecordType.A, FACEBOOK_A.address) is not None
+        assert classify_response(response(FACEBOOK_A, status=DnsStatus.SERVFAIL)) is None
+
+    @pytest.mark.parametrize("expected", [RecordType.AAAA, RecordType.A])
+    @pytest.mark.parametrize("answer", [
+        GOOGLE_AAAA, FACEBOOK_A, TEREDO_AAAA, NS_REFERRAL, GOOGLE_A,
+    ])
+    def test_classify_response_agrees_on_single_answers(self, answer, expected):
+        assert classify_response(
+            response(answer), expected_rtype=expected, whois=WHOIS_WITH_GOOGLE
+        ) is answer_evidence(
+            answer.rtype, answer.address, expected_rtype=expected,
+            whois=WHOIS_WITH_GOOGLE,
+        )
 
 
 class TestClassifyTarget:

@@ -1,0 +1,255 @@
+"""Packed vs plain GFW cleaning: the response table is an exact stand-in.
+
+The scan engine hands the GFW filter a packed ``ResponseTable``; the
+scalar scanner and hand-built results hand it plain dicts.  Every test
+cleans one scan both ways, with two fresh filters, and demands identical
+verdicts, evidence, owner attribution and deterministic metrics.  The
+contract test at the end pins the point of the table: a forged-answer
+scan plus its cleaning builds no response object at all.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.gfw.detector import InjectionEvidence
+from repro.gfw.filter import GfwFilter
+from repro.obs import deterministic_metrics, registry_to_dict
+from repro.obs.metrics import MetricsRegistry
+from repro.protocols import DnsAnswer, DnsResponse, Protocol
+from repro.runtime.faults import FaultPlan, RateLimit
+from repro.scan.engine import ScanEngine
+from repro.scan.responses import ResponseTable
+from repro.scan.zmap import Udp53Result, ZMapScanner
+from repro.simnet import build_internet, small_config
+from repro.simnet.gfwsim import InjectionMode
+from repro.simnet.hosts import DnsBehavior
+from repro.vantage import VantageFleet, default_vantage_specs
+
+QNAME = "www.google.com"
+CHUNK_SIZE = 512
+
+
+@pytest.fixture(scope="module")
+def config():
+    return small_config()
+
+
+@pytest.fixture(scope="module")
+def world(config):
+    return build_internet(config)
+
+
+@pytest.fixture(scope="module")
+def targets(world):
+    return sorted(world.ground_truth.get("initial_input"))
+
+
+def _era_day(world, mode):
+    """A scan day inside the small preset's first era of ``mode``."""
+    era = next(era for era in world.gfw.eras if era.mode is mode)
+    return era.start_day + 10
+
+
+def _scan(world, targets, day, qname=QNAME, **engine_kwargs):
+    engine = ScanEngine(ZMapScanner(world, seed=1), chunk_size=CHUNK_SIZE,
+                        **engine_kwargs)
+    try:
+        return engine.scan_all_protocols(targets, day, qname)[1]
+    finally:
+        engine.close()
+
+
+def _clean(udp53):
+    registry = MetricsRegistry()
+    gfw = GfwFilter(metrics=registry)
+    cleaning = gfw.clean_scan(udp53)
+    return {
+        "clean_responders": cleaning.clean_responders,
+        "injected_responders": cleaning.injected_responders,
+        "evidence_counts": cleaning.evidence_counts,
+        "forged_answer_owners": gfw.forged_answer_owners,
+        "ever_injected": gfw.ever_injected,
+        "metrics": deterministic_metrics(registry_to_dict(registry)),
+    }
+
+
+def assert_same_cleaning(udp53):
+    """Clean the packed table and its plain-dict copy; return the view."""
+    assert isinstance(udp53.responses, ResponseTable)
+    packed = _clean(udp53)
+    plain = _clean(
+        dataclasses.replace(udp53, responses=dict(udp53.responses.items()))
+    )
+    assert packed == plain
+    return packed
+
+
+def _forged_counts(table):
+    return {responder: len(forged) for responder, _v, forged in table.observed()}
+
+
+@pytest.mark.parametrize("mode", [InjectionMode.A_RECORD, InjectionMode.TEREDO])
+def test_era_cleans_identically(world, targets, mode):
+    udp53 = _scan(world, targets, _era_day(world, mode))
+    assert udp53.responses.wide is (mode is InjectionMode.TEREDO)
+    view = assert_same_cleaning(udp53)
+    assert view["injected_responders"] and view["clean_responders"]
+    assert view["forged_answer_owners"]
+    kind = (
+        InjectionEvidence.TEREDO_ANSWER if mode is InjectionMode.TEREDO
+        else InjectionEvidence.A_FOR_AAAA
+    )
+    assert view["evidence_counts"][kind] == sum(
+        _forged_counts(udp53.responses).values()
+    )
+
+
+def test_burst_row(world, targets):
+    day = _era_day(world, InjectionMode.A_RECORD)
+    udp53 = _scan(world, targets, day)
+    counts = _forged_counts(udp53.responses)
+    burst = max(counts, key=counts.get)
+    assert counts[burst] >= 64
+    # the burst row lands behind another table's payloads in a merge
+    # target, so its offset must be rebased to decode the same answers
+    other = _scan(world, targets, day + 1).responses
+    first = [responder for responder, count in _forged_counts(other).items()
+             if count and responder != burst][:5]
+    merged = udp53.responses.empty_copy()
+    merged.take(other, first)
+    merged.take(udp53.responses, [burst])
+    assert merged[burst] == udp53.responses[burst]
+    assert all(merged[responder] == other[responder] for responder in first)
+
+    table = udp53.responses.empty_copy()
+    table.take(udp53.responses, [burst])
+    single = Udp53Result(day=udp53.day, qname=QNAME, targets=1,
+                         responders={burst}, responses=table)
+    view = assert_same_cleaning(single)
+    assert view["injected_responders"] == {burst}
+    multiple = view["evidence_counts"][InjectionEvidence.MULTIPLE_RESPONSES]
+    assert multiple == len(udp53.responses[burst]) >= 64
+
+
+def test_control_qname_with_proxy_resolvers(config, targets):
+    """Control-NS log order and responses match the scalar scanner."""
+    world = build_internet(config)
+    resolvers = sorted(
+        address for address, host in world.hosts.items()
+        if host.protocols & Protocol.UDP53
+    )[:12]
+    for index, address in enumerate(resolvers):
+        behavior = (
+            DnsBehavior.PROXY_RESOLVER if index % 2 else DnsBehavior.OPEN_RESOLVER
+        )
+        world.hosts[address] = dataclasses.replace(
+            world.hosts[address], dns_behavior=behavior
+        )
+    qname = f"h3f1.{world.control_domain}"
+    scan_targets = sorted(set(targets) | set(world.hosts))
+    day = 8
+    del world.control_ns_log[:]
+    udp53 = _scan(world, scan_targets, day, qname)
+    engine_log = list(world.control_ns_log)
+    del world.control_ns_log[:]
+    scalar = ZMapScanner(world, seed=1).scan_udp53(scan_targets, day, qname)
+    assert engine_log == world.control_ns_log
+    assert any(entry.source not in udp53.responders for entry in engine_log)
+    assert udp53.responses == scalar.responses
+    assert_same_cleaning(udp53)
+
+
+def test_rate_limited_rows_dropped(world, targets):
+    day = _era_day(world, InjectionMode.A_RECORD)
+    unlimited = _scan(world, targets, day)
+    cn_asn = max(
+        world.gfw.boundary.inside_asns,
+        key=lambda asn: sum(
+            1 for target in unlimited.responders
+            if world.origin_as(target, day) == asn
+        ),
+    )
+    plan = FaultPlan(seed=3, rate_limits=(
+        RateLimit(asn=cn_asn, budget=50, protocols=int(Protocol.UDP53)),
+    ))
+    scanner = ZMapScanner(world, seed=1, fault_plan=plan)
+    engine = ScanEngine(scanner, chunk_size=CHUNK_SIZE)
+    udp53 = engine.scan_all_protocols(targets, day, QNAME)[1]
+    assert len(udp53.responders) < len(unlimited.responders)
+    assert set(udp53.responses) == udp53.responders
+    scalar = ZMapScanner(world, seed=1, fault_plan=plan).scan_udp53(
+        targets, day, QNAME
+    )
+    assert udp53.responses == scalar.responses
+    assert_same_cleaning(udp53)
+
+
+def test_three_vantage_fleet(config, targets):
+    world = build_internet(config)
+    fleet = VantageFleet(
+        world, default_vantage_specs(world, config.seed, 3),
+        seed=config.seed, chunk_size=CHUNK_SIZE,
+    )
+    day = _era_day(world, InjectionMode.A_RECORD)
+    try:
+        _results, udp53, report = fleet.scan(targets, day, QNAME)
+        # every merged row decodes to what some member heard for it
+        heard = [
+            engine.scan_all_protocols(targets, day, QNAME)[1].responses
+            for engine in fleet.engines
+        ]
+    finally:
+        fleet.close()
+    assert report.witness_targets
+    assert set(udp53.responses) <= udp53.responders
+    for responder, responses in udp53.responses.items():
+        assert any(member.get(responder) == responses for member in heard)
+    view = assert_same_cleaning(udp53)
+    assert view["injected_responders"]
+
+
+def test_scan_workers_invisible(world, targets):
+    day = _era_day(world, InjectionMode.TEREDO)
+    inline = _scan(world, targets, day, workers=1)
+    sharded = _scan(world, targets, day, workers=2)
+    assert sharded.responders == inline.responders
+    assert sharded.responses == inline.responses
+    assert assert_same_cleaning(sharded) == assert_same_cleaning(inline)
+
+
+def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
+    """Engine scan plus cleaning of a forged-answer day: zero responses
+    built, and no per-answer state left behind in the engine."""
+    built = []
+    original = DnsResponse.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DnsResponse, "__init__", counting_init)
+    engine = ScanEngine(ZMapScanner(world, seed=1), chunk_size=CHUNK_SIZE)
+    udp53 = engine.scan_all_protocols(
+        targets, _era_day(world, InjectionMode.A_RECORD), QNAME
+    )[1]
+    cleaning = GfwFilter(metrics=MetricsRegistry()).clean_scan(udp53)
+    forged = sum(_forged_counts(udp53.responses).values())
+    assert forged > 1000 and cleaning.injected_responders
+    assert built == []
+
+    assert not hasattr(engine, "_answer_cache")
+    containers = [
+        value for value in vars(engine).values()
+        if isinstance(value, (dict, list, set, tuple))
+    ]
+    assert sum(len(value) for value in containers) < forged
+    for value in containers:
+        items = value.items() if isinstance(value, dict) else value
+        flat = [part for item in items
+                for part in (item if isinstance(item, tuple) else (item,))]
+        assert not any(isinstance(part, (DnsAnswer, DnsResponse)) for part in flat)
+
+    # reading a row is what builds its responses
+    responder = next(iter(udp53.responses))
+    assert len(udp53.responses[responder]) == len(built)
