@@ -26,7 +26,7 @@ from repro.net.random_addr import spread_addresses
 from repro.net.trie import PrefixTrie
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import Protocol
-from repro.scan.engine import apd_probe_pass
+from repro.scan.engine import apd_wave_bitmaps
 from repro.scan.zmap import ZMapScanner
 
 _PROBE_COUNT = 16
@@ -176,34 +176,26 @@ class AliasedPrefixDetection:
         return bitmap
 
     def _batch_bitmaps(self, prefixes: List[IPv6Prefix], day: int) -> List[int]:
-        """Per-spot bitmaps for many prefixes in one fused probe pass.
+        """Per-spot bitmaps for many prefixes in one wave pass.
 
         Produces exactly what :meth:`_probe_bitmap` would per prefix
         (same probe addresses, loss draws, metric totals and padding),
-        but the scanner resolves the ground truth once per probe instead
-        of once per (probe, protocol).
+        but probes go through the engine's chunked columnar path: one
+        ground-truth walk and one bulk loss draw per chunk of probes.
         """
-        prefix_probes = [
-            (
-                prefix,
-                spread_addresses(
-                    prefix, _PROBE_COUNT,
-                    nonce=(day << 4) | (len(self._history.get(prefix, ())) & 0xF),
-                ),
+        probe_lists = [
+            spread_addresses(
+                prefix, _PROBE_COUNT,
+                nonce=(day << 4) | (len(self._history.get(prefix, ())) & 0xF),
             )
             for prefix in prefixes
         ]
-        responder_sets = apd_probe_pass(self._scanner, prefix_probes, day)
-        bitmaps = []
-        for (_prefix, probes), (icmp, tcp) in zip(prefix_probes, responder_sets):
-            bitmap = 0
-            for index, address in enumerate(probes):
-                if address in icmp or address in tcp:
-                    bitmap |= 1 << index
+        bitmaps = apd_wave_bitmaps(self._scanner, probe_lists, day)
+        full = (1 << _PROBE_COUNT) - 1
+        for index, probes in enumerate(probe_lists):
             if len(probes) < _PROBE_COUNT:
-                full = (1 << len(probes)) - 1
-                bitmap |= ((1 << _PROBE_COUNT) - 1) ^ full
-            bitmaps.append(bitmap)
+                # prefixes near /128: fewer distinct spots, pad as responsive
+                bitmaps[index] |= full ^ ((1 << len(probes)) - 1)
         return bitmaps
 
     def test_prefix(

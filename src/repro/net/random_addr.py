@@ -15,6 +15,9 @@ from typing import List
 
 from repro.net.prefix import IPv6Prefix
 
+#: the digits ``f"{value:032x}"`` prints, indexed by value
+_HEX_DIGITS = b"0123456789abcdef"
+
 
 def pseudo_random_address(prefix: IPv6Prefix, nonce: int = 0) -> int:
     """A deterministic, uniformly spread address inside ``prefix``.
@@ -62,13 +65,27 @@ def spread_addresses(prefix: IPv6Prefix, count: int = 16, nonce: int = 0) -> Lis
     step = 1 << host_bits
     host_mask = step - 1
     value = prefix.value
+    span = 1 << (new_length - prefix.length)
+    if host_bits == 0:
+        return [value + index for index in range(span)]
     sha256 = hashlib.sha256
     addresses = []
-    for index in range(1 << (new_length - prefix.length)):
+    if new_length % 4 == 0 and new_length and span <= 16:
+        # the subprefix index only fills the low bits of one hex digit of
+        # the hash input (the prefix zeroes them): format the input once
+        # and swap that one digit per subprefix
+        text = f"{value:032x}"
+        position = new_length // 4 - 1
+        digit = int(text[position], 16)
+        message = bytearray(f"{text}/{new_length}#{nonce}".encode("ascii"))
+        from_bytes = int.from_bytes
+        for index in range(span):
+            message[position] = _HEX_DIGITS[digit | index]
+            host = from_bytes(sha256(message).digest(), "big") & host_mask
+            addresses.append((value + index * step) | host)
+        return addresses
+    for index in range(span):
         sub_value = value + index * step
-        if host_bits == 0:
-            addresses.append(sub_value)
-            continue
         digest = sha256(
             f"{sub_value:032x}/{new_length}#{nonce}".encode("ascii")
         ).digest()

@@ -48,7 +48,9 @@ from repro.protocols import DnsAnswer, Protocol, RecordType
 from repro.runtime.faults import RETRY_SALT
 from repro.scan import wire
 from repro.scan.responses import ResponseTable
-from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes
+from repro.scan.vecmix import (
+    LaneKit, bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes,
+)
 from repro.scan.wire import PackedChunkResult
 from repro.simnet.gfwsim import _TEREDO_SERVERS, InjectionMode
 from repro.simnet.hosts import DnsBehavior
@@ -78,6 +80,12 @@ DEFAULT_CHUNK_SIZE = 4096
 #: default scenario never re-forks after the first sizing
 _MIN_POOL_BYTES = 1 << 22
 
+#: the two protocols of an APD spot check, in answer-mask bit order
+_APD_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80)
+
+#: one 0/1 answer byte -> one binary digit, for packing APD bitmaps
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
 _REFUSED_BEHAVIORS = (DnsBehavior.NOT_DNS, DnsBehavior.AUTH_OR_CLOSED)
 
 #: DnsBehavior -> wire.GENUINE_* code for the behaviors whose response
@@ -87,6 +95,19 @@ _BEHAVIOR_CODE = {
     DnsBehavior.AUTH_OR_CLOSED: wire.GENUINE_REFUSED,
     DnsBehavior.REFERRAL: wire.GENUINE_REFERRAL,
 }
+
+
+def _loss_inners(
+    scanner: "ZMapScanner", day: int, protocol: Protocol
+) -> Tuple[int, ...]:
+    """Per-attempt inner hashes of ``ZMapScanner._lost`` for one scan."""
+    return tuple(
+        mix64(
+            (day << 8) ^ int(protocol) ^ scanner._seed
+            ^ ((attempt * RETRY_SALT) & _M64)
+        )
+        for attempt in range(scanner._retry_attempts)
+    )
 
 
 class _ScanContext:
@@ -110,13 +131,7 @@ class _ScanContext:
             mix64((day << 8) ^ seed ^ _FAST_SALT ^ ((attempt * RETRY_SALT) & _M64))
             for attempt in range(self.attempts)
         )
-        self.udp_inner = tuple(
-            mix64(
-                (day << 8) ^ int(Protocol.UDP53) ^ seed
-                ^ ((attempt * RETRY_SALT) & _M64)
-            )
-            for attempt in range(self.attempts)
-        )
+        self.udp_inner = _loss_inners(scanner, day, Protocol.UDP53)
         gfw = internet.gfw
         self.gfw_era = gfw.active_era(day)
         self.inject_possible = (
@@ -863,142 +878,230 @@ class ScanEngine:
             )
 
 
-def apd_probe_pass(
+def apd_wave_bitmaps(
     scanner: "ZMapScanner",
-    prefix_probes: Sequence[Tuple[object, Sequence[int]]],
+    probe_lists: Sequence[Sequence[int]],
     day: int,
-) -> List[Tuple[set, set]]:
-    """Batched ICMP + TCP/80 responder sets for APD probe lists.
+) -> List[int]:
+    """ICMP + TCP/80 answer bitmaps for a wave of APD probe lists.
 
-    For each ``(prefix, probes)`` pair, replicates exactly what two
-    ``ZMapScanner.scan`` calls over ``probes`` produce — same loss
-    draws, retry accounting, burst counting, per-prefix rate limiting
-    and metric totals — but resolves the ground truth once per probe
-    via the fused pass.
+    Bit ``i`` of entry ``p`` is set when probe ``i`` of ``probe_lists[p]``
+    answered ICMP or TCP/80.  Each entry is exactly what two
+    ``ZMapScanner.scan`` calls over that list report — same loss draws,
+    retry-draw accounting, burst counting, per-list rate limiting,
+    ``probes_sent`` and metric totals — but lists are probed in groups
+    of at most :data:`DEFAULT_CHUNK_SIZE` probes: one mask-only
+    ground-truth walk and one bulk loss draw per (protocol, attempt)
+    per group.  Metrics flush once per wave.
     """
-    if not prefix_probes:
+    if not probe_lists:
         return []
     plan = scanner._fault_plan
     if plan is not None and plan.vantage_down(day):
         # scan() returns empty results without touching metrics
-        return [(set(), set()) for _ in prefix_probes]
-    internet = scanner._internet
-    blocklist = scanner._blocklist
-    has_blocklist = len(blocklist) > 0
-    is_blocked = blocklist.is_blocked
-    seed = scanner._seed
-    attempts = scanner._retry_attempts
-    loss_threshold = scanner._loss_threshold
-    icmp_inner = tuple(
-        mix64(
-            (day << 8) ^ int(Protocol.ICMP) ^ seed
-            ^ ((attempt * RETRY_SALT) & _M64)
-        )
-        for attempt in range(attempts)
-    )
-    tcp_inner = tuple(
-        mix64(
-            (day << 8) ^ int(Protocol.TCP80) ^ seed
-            ^ ((attempt * RETRY_SALT) & _M64)
-        )
-        for attempt in range(attempts)
-    )
-    limited_icmp = plan is not None and plan.limits_protocol(Protocol.ICMP)
-    limited_tcp = plan is not None and plan.limits_protocol(Protocol.TCP80)
-    burst_lost = None if plan is None else plan.burst_lost
+        return [0] * len(probe_lists)
+    wave = _ApdWave(scanner, day)
+    bitmaps: List[int] = []
+    group: List[Sequence[int]] = []
+    size = 0
+    for probes in probe_lists:
+        if size + len(probes) > DEFAULT_CHUNK_SIZE and group:
+            bitmaps.extend(wave.probe(group))
+            group, size = [], 0
+        group.append(probes)
+        size += len(probes)
+    bitmaps.extend(wave.probe(group))
+    wave.flush()
+    return bitmaps
 
-    def origin(address: int) -> Optional[int]:
-        return internet.origin_as(address, day)
 
-    metrics = scanner._metrics
-    if metrics is not None:
-        icmp_label = Protocol.ICMP.label
-        tcp_label = Protocol.TCP80.label
-        m_probes = (
-            scanner._m_probes.labels(protocol=icmp_label),
-            scanner._m_probes.labels(protocol=tcp_label),
+class _ApdWave:
+    """Per-(scanner, day) state of one :func:`apd_wave_bitmaps` call."""
+
+    def __init__(self, scanner: "ZMapScanner", day: int) -> None:
+        self.scanner = scanner
+        self.day = day
+        plan = scanner._fault_plan
+        self.plan = plan
+        self.burst_lost = plan.burst_lost if plan is not None and plan.bursts else None
+        self.limits = tuple(
+            plan is not None and plan.limits_protocol(protocol)
+            for protocol in _APD_PROTOCOLS
         )
-        m_hits = (
-            scanner._m_hits.labels(protocol=icmp_label),
-            scanner._m_hits.labels(protocol=tcp_label),
+        self.loss_threshold = scanner._loss_threshold
+        self.inners = tuple(
+            _loss_inners(scanner, day, protocol) for protocol in _APD_PROTOCOLS
         )
-    out: List[Tuple[set, set]] = []
-    for _prefix, probes in prefix_probes:
-        if has_blocklist:
-            scannable = [probe for probe in probes if not is_blocked(probe)]
-        else:
-            scannable = list(probes)
-        icmp_responders: set = set()
-        tcp_responders: set = set()
-        burst_suppressed = 0
-        icmp_draws = 0
-        tcp_draws = 0
-        for probe, mask, _asn, _behavior in internet.probe_batch(
-            scannable, day, need_dns=False
-        ):
-            if burst_lost is not None and burst_lost(probe, day):
-                burst_suppressed += 1
-                continue
-            base = (probe & _M64) ^ (probe >> 64)
-            for inner, bit, responders, is_icmp in (
-                (icmp_inner, 1, icmp_responders, True),
-                (tcp_inner, 2, tcp_responders, False),
+        self.count = 0
+        self.burst = 0
+        self.retry_draws = 0
+        self.hits = [0, 0]
+        self.rate_limited = [0, 0]
+
+    def probe(self, group: List[Sequence[int]]) -> List[int]:
+        """Bitmaps for one group of probe lists (one chunk of probes)."""
+        scanner = self.scanner
+        day = self.day
+        flat: List[int] = []
+        for probes in group:
+            flat.extend(probes)
+        n = len(flat)
+        # on-wire flags (1 per probe that is neither blocked nor
+        # swallowed by a burst); None when every probe goes out
+        wire_flags: Optional[bytearray] = None
+        blocklist = scanner._blocklist
+        burst_lost = self.burst_lost
+        if len(blocklist) or burst_lost is not None:
+            is_blocked = blocklist.is_blocked if len(blocklist) else None
+            wire_flags = bytearray(n)
+            on_wire: List[int] = []
+            positions: List[int] = []
+            scannable = 0
+            burst = 0
+            for position, probe in enumerate(flat):
+                if is_blocked is not None and is_blocked(probe):
+                    continue
+                scannable += 1
+                if burst_lost is not None and burst_lost(probe, day):
+                    burst += 1
+                    continue
+                wire_flags[position] = 1
+                on_wire.append(probe)
+                positions.append(position)
+            self.count += scannable
+            self.burst += burst
+            masks = bytearray(n)
+            for position, mask in zip(
+                positions, scanner._internet.probe_masks(on_wire, day)
             ):
-                if loss_threshold:
-                    lost = True
-                    for attempt in range(attempts):
-                        value = (base ^ inner[attempt]) & _M64
-                        value = ((value ^ (value >> 30)) * _MIX_C1) & _M64
-                        value = ((value ^ (value >> 27)) * _MIX_C2) & _M64
-                        if (value ^ (value >> 31)) >= loss_threshold:
-                            if is_icmp:
-                                icmp_draws += attempt
-                            else:
-                                tcp_draws += attempt
-                            lost = False
-                            break
-                    else:
-                        if is_icmp:
-                            icmp_draws += attempts - 1
-                        else:
-                            tcp_draws += attempts - 1
-                    if lost:
-                        continue
-                if mask & bit:
-                    responders.add(probe)
-        rate_limited_icmp = 0
-        rate_limited_tcp = 0
-        if limited_icmp:
-            suppressed = plan.suppressed_responders(
-                scannable, Protocol.ICMP, day, origin
-            )
-            rate_limited_icmp = len(icmp_responders & suppressed)
-            icmp_responders -= suppressed
-        if limited_tcp:
-            suppressed = plan.suppressed_responders(
-                scannable, Protocol.TCP80, day, origin
-            )
-            rate_limited_tcp = len(tcp_responders & suppressed)
-            tcp_responders -= suppressed
-        count = len(scannable)
-        scanner.probes_sent += 2 * count
-        if metrics is not None:
-            total_draws = icmp_draws + tcp_draws
-            if total_draws:
-                scanner._m_retries.inc(total_draws)
-            if burst_suppressed:
-                # each burst swallows both the ICMP and the TCP/80 probe
-                scanner._m_burst.inc(2 * burst_suppressed)
-            for index, (hits, limited_count) in enumerate((
-                (icmp_responders, rate_limited_icmp),
-                (tcp_responders, rate_limited_tcp),
-            )):
-                m_probes[index].inc(count)
-                m_hits[index].inc(len(hits))
-                if limited_count:
-                    label = icmp_label if index == 0 else tcp_label
-                    scanner._m_rate_limited.labels(protocol=label).inc(
-                        limited_count
-                    )
-        out.append((icmp_responders, tcp_responders))
-    return out
+                masks[position] = mask
+        else:
+            self.count += n
+            masks = scanner._internet.probe_masks(flat, day)
+        answers = int.from_bytes(masks, "little")
+
+        # per probe and protocol: 1 in the probe's byte when a probe of
+        # that protocol survives loss (retries included)
+        if self.loss_threshold:
+            size = 1 << (n - 1).bit_length() if n > 1 else 1
+            kit = lane_kit(size)
+            bases = [(probe & _M64) ^ (probe >> 64) for probe in flat]
+            if size != n:
+                bases.extend([0] * (size - n))
+            packed = pack_lanes(bases)
+            survived = [
+                self._survivors(packed, inners, kit, n, wire_flags)
+                for inners in self.inners
+            ]
+        else:
+            survived = [int.from_bytes(b"\x01" * n, "little")] * 2
+        icmp_hits = answers & survived[0]
+        tcp_hits = (answers >> 1) & survived[1]
+
+        if self.limits[0] or self.limits[1]:
+            icmp_hits, tcp_hits = self._rate_limit(group, n, icmp_hits, tcp_hits)
+        self.hits[0] += icmp_hits.bit_count()
+        self.hits[1] += tcp_hits.bit_count()
+        bits = (icmp_hits | tcp_hits).to_bytes(n, "little").translate(_BIT_CHARS)
+        bitmaps: List[int] = []
+        offset = 0
+        for probes in group:
+            end = offset + len(probes)
+            bitmaps.append(int(bits[offset:end][::-1], 2) if end > offset else 0)
+            offset = end
+        return bitmaps
+
+    def _survivors(
+        self,
+        packed: int,
+        inners: Tuple[int, ...],
+        kit: LaneKit,
+        n: int,
+        wire_flags: Optional[bytearray],
+    ) -> int:
+        """Loss survivors of one protocol, one 0/1 byte per probe.
+
+        Mirrors ``ZMapScanner._lost``: a probe survives when any attempt
+        draws at or above the threshold, and adds the index of its first
+        surviving attempt (``attempts - 1`` when all are lost) to the
+        retry draws — counted only for probes that went on the wire.
+        """
+        threshold = self.loss_threshold
+        first = survive64(bulk_mix64_xor(packed, inners[0], kit), threshold, kit)
+        if len(inners) == 1:
+            return int.from_bytes(first[:n], "little")
+        retries = [
+            survive64(bulk_mix64_xor(packed, inner, kit), threshold, kit)
+            for inner in inners[1:]
+        ]
+        merged = bytearray(first[:n])
+        draws = 0
+        lost = merged.find(0)
+        while lost >= 0:
+            if wire_flags is None or wire_flags[lost]:
+                for attempt, retry in enumerate(retries, 1):
+                    if retry[lost]:
+                        draws += attempt
+                        merged[lost] = 1
+                        break
+                else:
+                    draws += len(retries)
+            lost = merged.find(0, lost + 1)
+        self.retry_draws += draws
+        return int.from_bytes(merged, "little")
+
+    def _rate_limit(
+        self, group: List[Sequence[int]], n: int, icmp_hits: int, tcp_hits: int
+    ) -> Tuple[int, int]:
+        """Drop rate-limited responders, list by list (as ``scan`` does)."""
+        scanner = self.scanner
+        internet = scanner._internet
+        day = self.day
+        blocklist = scanner._blocklist
+        hit_bytes = [
+            bytearray(icmp_hits.to_bytes(n, "little")),
+            bytearray(tcp_hits.to_bytes(n, "little")),
+        ]
+
+        def origin(address: int) -> Optional[int]:
+            return internet.origin_as(address, day)
+
+        offset = 0
+        for probes in group:
+            scannable = [probe for probe in probes if not blocklist.is_blocked(probe)]
+            for index, protocol in enumerate(_APD_PROTOCOLS):
+                if not self.limits[index]:
+                    continue
+                suppressed = self.plan.suppressed_responders(
+                    scannable, protocol, day, origin
+                )
+                hits = hit_bytes[index]
+                for position, probe in enumerate(probes, offset):
+                    if hits[position] and probe in suppressed:
+                        hits[position] = 0
+                        self.rate_limited[index] += 1
+            offset += len(probes)
+        return (
+            int.from_bytes(hit_bytes[0], "little"),
+            int.from_bytes(hit_bytes[1], "little"),
+        )
+
+    def flush(self) -> None:
+        """Record the wave's totals, as the per-list scans would have."""
+        scanner = self.scanner
+        scanner.probes_sent += 2 * self.count
+        if scanner._metrics is None:
+            return
+        if self.retry_draws:
+            scanner._m_retries.inc(self.retry_draws)
+        if self.burst:
+            # each burst swallows both the ICMP and the TCP/80 probe
+            scanner._m_burst.inc(2 * self.burst)
+        for index, protocol in enumerate(_APD_PROTOCOLS):
+            label = protocol.label
+            scanner._m_probes.labels(protocol=label).inc(self.count)
+            scanner._m_hits.labels(protocol=label).inc(self.hits[index])
+            if self.rate_limited[index]:
+                scanner._m_rate_limited.labels(protocol=label).inc(
+                    self.rate_limited[index]
+                )

@@ -59,11 +59,17 @@ class LaneKit:
         self.mask64 = self.rep1 * _M64
         #: 0xFFFF in every lane
         self.rep16 = self.rep1 * 0xFFFF
-        #: memo of other per-lane repeat constants, keyed by constant
+        #: memo of the survival-threshold repeat constants, keyed by
+        #: constant; fixed per scanner, so it stays a handful of entries
         self._reps: Dict[int, int] = {}
 
     def rep(self, constant: int) -> int:
-        """``constant`` replicated into every lane (memoized)."""
+        """``constant`` replicated into every lane (memoized).
+
+        Only for constants that repeat across scans (loss thresholds);
+        per-day values must not pass through here, or every kit grows
+        by one lane-sized integer per scan day.
+        """
         value = self._reps.get(constant)
         if value is None:
             value = self.rep1 * constant
@@ -114,10 +120,11 @@ def bulk_mix64_xor(packed: int, inner: int, kit: LaneKit) -> int:
 
     ``inner`` is the scan-constant inner hash (already mixed); the loss
     formulas are ``mix64(base ^ mix64(...))`` with ``base`` per target,
-    so this one call is the whole per-target draw.
+    so this one call is the whole per-target draw.  ``inner`` changes
+    with the day, so its lane repeat is built per call, not memoized.
     """
     mask = kit.mask64
-    v = packed ^ kit.rep(inner)
+    v = packed ^ (kit.rep1 * inner)
     v = (v ^ (v >> 30)) & mask
     v = (v * _MIX_C1) & mask
     v = (v ^ (v >> 27)) & mask

@@ -272,97 +272,27 @@ class SimInternet:
             mask |= Protocol.ICMP
         return mask
 
-    def probe_batch(
-        self,
-        targets: Iterable[int],
-        day: int,
-        qname: Optional[str] = None,
-        need_dns: bool = True,
-    ) -> List[Tuple[int, int, Optional[int], Optional[DnsBehavior]]]:
-        """Fused ground-truth pass for a chunk of scan targets.
-
-        For each target, one walk of the ground truth yields the
-        ``(target, response_mask, origin_as, dns_behavior)`` tuple that a
-        five-protocol scan needs, where ``dns_behavior`` is the behavior
-        a genuine UDP/53 answer would follow (``None`` when the target
-        runs no DNS service).  Equivalent to calling
-        :meth:`response_mask`, :meth:`origin_as` and the region/host
-        resolution behind :meth:`dns_probe` separately per target, but
-        each region, host and routing lookup happens exactly once.
-
-        ``qname`` is accepted for call-site parity; the behavior triple
-        is qname-independent (response synthesis — including GFW
-        injection — is the scan engine's business).  With
-        ``need_dns=False`` the origin-AS and DNS-behavior fields are
-        skipped (returned as ``None``) for callers that only want masks,
-        e.g. the APD probe pass.
-        """
-        snapshot = self.routing.snapshot_at(day)
-        if snapshot is not self._origin_cache_state["snapshot"]:
-            self._origin_cache.clear()
-            self._origin_cache_state["snapshot"] = snapshot
-        origin_cache = self._origin_cache
-        snapshot_origin = snapshot.origin_as
-        region_cache = self._region_cache
-        long_slash64s = self._long_region_slash64s
-        longest_match = self._region_trie.longest_match
-        hosts_get = self.hosts.get
-        cpe = self._responsive_cpe(day)
-        seed = self._seed
-        icmp = int(Protocol.ICMP)
-        udp53 = int(Protocol.UDP53)
-        out: List[Tuple[int, int, Optional[int], Optional[DnsBehavior]]] = []
-        append = out.append
-        for target in targets:
-            slash64 = target >> 64
-            if need_dns:
-                asn = origin_cache.get(slash64, _MISSING)
-                if asn is _MISSING:
-                    asn = snapshot_origin(target)
-                    origin_cache[slash64] = asn
-            else:
-                asn = None
-            if slash64 in long_slash64s:
-                match = longest_match(target)
-                region = None if match is None else match[1]
-            else:
-                region = region_cache.get(slash64, _MISSING)
-                if region is _MISSING:
-                    match = longest_match(target)
-                    region = None if match is None else match[1]
-                    region_cache[slash64] = region
-            if region is not None and not region.active(day):
-                region = None
-            mask = 0
-            behavior: Optional[DnsBehavior] = None
-            if region is not None:
-                mask = int(region.protocols)
-                if need_dns and mask & udp53:
-                    behavior = region.dns_behavior
-            host = hosts_get(target)
-            if host is not None and host.is_up(target, day, seed):
-                mask |= host.protocols
-                if need_dns and behavior is None and host.protocols & udp53:
-                    behavior = host.dns_behavior
-            if not mask & icmp and target in cpe:
-                mask |= icmp
-            append((target, mask, asn, behavior))
-        return out
-
     def probe_batch_arrays(
         self,
         targets: Sequence[int],
         day: int,
         qname: Optional[str] = None,
     ) -> Tuple[bytearray, List[Optional[int]], List[Optional[DnsBehavior]]]:
-        """Column-oriented :meth:`probe_batch` for the packed scan engine.
+        """Fused ground-truth pass for a chunk of scan targets.
 
         Returns ``(masks, origin_asns, dns_behaviors)`` columns parallel
-        to ``targets`` — the response mask per target as a bytearray
-        (masks fit a byte: the five probe protocols span bits 0-4), plus
-        the origin-AS and genuine-DNS-behavior lists.  Same ground-truth
-        walk and caches as :meth:`probe_batch`, minus the per-target
-        tuple boxing.
+        to ``targets``: the response mask per target as a bytearray
+        (masks fit a byte: the five probe protocols span bits 0-4), the
+        origin AS, and the behavior a genuine UDP/53 answer would follow
+        (``None`` when the target runs no DNS service).  Equivalent to
+        calling :meth:`response_mask`, :meth:`origin_as` and the
+        region/host resolution behind :meth:`dns_probe` separately per
+        target, but each region, host and routing lookup happens exactly
+        once.
+
+        ``qname`` is accepted for call-site parity; the behavior column
+        is qname-independent (response synthesis — including GFW
+        injection — is the scan engine's business).
         """
         snapshot = self.routing.snapshot_at(day)
         if snapshot is not self._origin_cache_state["snapshot"]:
@@ -417,6 +347,44 @@ class SimInternet:
             masks[index] = mask
             behaviors_append(behavior)
         return masks, asns, behaviors
+
+    def probe_masks(self, targets: Sequence[int], day: int) -> bytearray:
+        """Response masks alone, one byte per target.
+
+        The ground-truth walk of :meth:`probe_batch_arrays` without the
+        origin-AS and DNS-behavior columns, for probes that only ask
+        "does it answer", e.g. the APD's ICMP + TCP/80 spot checks; the
+        routing table is never touched.
+        """
+        region_cache = self._region_cache
+        long_slash64s = self._long_region_slash64s
+        longest_match = self._region_trie.longest_match
+        hosts_get = self.hosts.get
+        cpe = self._responsive_cpe(day)
+        seed = self._seed
+        icmp = int(Protocol.ICMP)
+        masks = bytearray(len(targets))
+        for index, target in enumerate(targets):
+            slash64 = target >> 64
+            if slash64 in long_slash64s:
+                match = longest_match(target)
+                region = None if match is None else match[1]
+            else:
+                region = region_cache.get(slash64, _MISSING)
+                if region is _MISSING:
+                    match = longest_match(target)
+                    region = None if match is None else match[1]
+                    region_cache[slash64] = region
+            mask = 0
+            if region is not None and region.active(day):
+                mask = int(region.protocols)
+            host = hosts_get(target)
+            if host is not None and host.is_up(target, day, seed):
+                mask |= host.protocols
+            if not mask & icmp and target in cpe:
+                mask |= icmp
+            masks[index] = mask
+        return masks
 
     def batch_responsive(
         self, addresses: Iterable[int], protocol: Protocol, day: int

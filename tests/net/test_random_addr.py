@@ -66,3 +66,33 @@ class TestSpreadAddresses:
         p = parse_prefix("2001:db8::/32")
         assert len(spread_addresses(p, 4)) == 4
         assert len(spread_addresses(p, 1)) == 1
+
+
+def _per_subprefix(prefix, count, nonce):
+    """The definition: one pseudo_random_address per next-level subprefix."""
+    new_length = min(prefix.length + (count - 1).bit_length(), 128)
+    return [
+        pseudo_random_address(prefix.nth_subprefix(new_length, index), nonce)
+        for index in range(1 << (new_length - prefix.length))
+    ]
+
+
+@given(
+    st.integers(min_value=0, max_value=MAX_ADDRESS),
+    st.integers(min_value=0, max_value=128),
+    st.sampled_from([1, 4, 16]),
+    st.integers(min_value=0, max_value=(1 << 40)),
+)
+@settings(max_examples=400)
+def test_spread_addresses_matches_per_subprefix_formula(value, length, count, nonce):
+    """Every shape, nibble-aligned fast path or not, hashes the same inputs."""
+    prefix = IPv6Prefix(value, length)
+    assert spread_addresses(prefix, count, nonce) == _per_subprefix(prefix, count, nonce)
+
+
+@pytest.mark.parametrize("length", range(0, 129))
+@pytest.mark.parametrize("count", [1, 4, 16])
+def test_spread_addresses_every_length(length, count):
+    prefix = IPv6Prefix(MAX_ADDRESS, length)
+    nonce = (length << 4) | count
+    assert spread_addresses(prefix, count, nonce) == _per_subprefix(prefix, count, nonce)

@@ -127,7 +127,7 @@ def test_checkpoint_bytes_worker_invariant(config, checkpoint_dir, workers, refe
 
 
 def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
-    """The fused pass answers UDP/53 from the same probe_batch walk."""
+    """The fused pass answers UDP/53 from the same probe_batch_arrays walk."""
     service = _build(config, workers=1)
     service.bootstrap(0)
     targets = list(service._scan_pool)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro._util import mix64
 from repro.scan.vecmix import (
+    LaneKit,
     bulk_mix64_xor,
     lane_kit,
     pack_lanes,
@@ -63,3 +64,21 @@ def test_boundary_draws_round_trip_through_both_paths(values, inner, threshold16
             if (draw >> (16 * field)) & 0xFFFF >= threshold16:
                 surviving |= 1 << field
         assert got[index] == surviving
+
+
+def test_per_day_inner_values_are_not_memoized():
+    """Kits keep only threshold constants: one scan per day must not grow
+    them by a lane-sized integer per distinct ``inner``."""
+    values = [mix64(index) for index in range(64)]
+    kit = LaneKit(len(values))  # fresh: the shared kits carry other tests' memos
+    packed = pack_lanes(values)
+    thresholds = (int(0.03 * (1 << 64)), int(0.25 * (1 << 64)))
+    for day in range(1000):
+        inner = mix64(day << 8)
+        draws = bulk_mix64_xor(packed, inner, kit)
+        assert list(unpack_lanes(draws, kit)) == [
+            mix64(value ^ inner) for value in values
+        ]
+        for threshold in thresholds:
+            survive64(draws, threshold, kit)
+    assert len(kit._reps) <= len(thresholds)
