@@ -207,12 +207,28 @@ class AliasedPrefixDetection:
         by :meth:`_batch_bitmaps`; without it the prefix is probed
         individually.
         """
-        level = self._candidate_level.get(prefix, "slash64")
+        if bitmap is None:
+            attempt = len(self._history.get(prefix, ()))
+            bitmap = self._probe_bitmap(prefix, day, attempt=attempt)
+        level, verdict = self._record(prefix, day, bitmap)
         if self._metrics is not None:
             self._m_tested.labels(level=level).inc()
+            if verdict is not None:
+                self._m_verdicts.labels(verdict=verdict, level=level).inc()
+            self._m_aliased.set(len(self._aliased))
+        return prefix in self._aliased
+
+    def _record(
+        self, prefix: IPv6Prefix, day: int, bitmap: int
+    ) -> Tuple[str, Optional[str]]:
+        """Fold one round's bitmap into the prefix's state.
+
+        Returns the candidate level and the alias verdict the round
+        produced ("aliased", "delisted", or None when the state held);
+        callers account the metrics.
+        """
+        level = self._candidate_level.get(prefix, "slash64")
         history = self._history.setdefault(prefix, [])
-        if bitmap is None:
-            bitmap = self._probe_bitmap(prefix, day, attempt=len(history))
         history.append(bitmap)
         if len(history) > self._window + 1:
             del history[0]
@@ -229,8 +245,7 @@ class AliasedPrefixDetection:
         merged = 0
         for entry in history:
             merged |= entry
-        aliased = merged == (1 << _PROBE_COUNT) - 1
-        if aliased:
+        if merged == full:
             if prefix not in self._aliased:
                 detected = DetectedAlias(
                     prefix=prefix,
@@ -239,22 +254,18 @@ class AliasedPrefixDetection:
                 )
                 self._aliased[prefix] = detected
                 self._aliased_trie[prefix] = detected
-                if self._metrics is not None:
-                    self._m_verdicts.labels(verdict="aliased", level=level).inc()
-        elif prefix in self._aliased and bitmap != (1 << _PROBE_COUNT) - 1:
+                return level, "aliased"
+        elif prefix in self._aliased and bitmap != full:
             # de-listed only when the *current* round clearly fails
             recent = history[-self._window:]
             merged_recent = 0
             for entry in recent:
                 merged_recent |= entry
-            if merged_recent != (1 << _PROBE_COUNT) - 1:
+            if merged_recent != full:
                 del self._aliased[prefix]
                 self._aliased_trie.remove(prefix)
-                if self._metrics is not None:
-                    self._m_verdicts.labels(verdict="delisted", level=level).inc()
-        if self._metrics is not None:
-            self._m_aliased.set(len(self._aliased))
-        return prefix in self._aliased
+                return level, "delisted"
+        return level, None
 
     def run(
         self,
@@ -311,13 +322,29 @@ class AliasedPrefixDetection:
     def _test_wave(
         self, wave: List[IPv6Prefix], day: int, changed: Set[IPv6Prefix]
     ) -> None:
-        """Probe one batch of same-length prefixes and update state."""
+        """Probe one batch of same-length prefixes and update state.
+
+        Metrics are tallied per level and recorded once per wave, with
+        the same totals as one :meth:`test_prefix` call per prefix.
+        """
         bitmaps = self._batch_bitmaps(wave, day)
+        tested: Dict[str, int] = {}
+        verdicts: Dict[Tuple[str, str], int] = {}
         for prefix, bitmap in zip(wave, bitmaps):
-            was = prefix in self._aliased
-            now = self.test_prefix(prefix, day, bitmap=bitmap)
-            if was != now:
+            level, verdict = self._record(prefix, day, bitmap)
+            tested[level] = tested.get(level, 0) + 1
+            if verdict is not None:
                 changed.add(prefix)
+                key = (verdict, level)
+                verdicts[key] = verdicts.get(key, 0) + 1
+        if self._metrics is None or not tested:
+            # an empty wave records nothing, as no test_prefix call would
+            return
+        for level, count in tested.items():
+            self._m_tested.labels(level=level).inc(count)
+        for (verdict, level), count in verdicts.items():
+            self._m_verdicts.labels(verdict=verdict, level=level).inc(count)
+        self._m_aliased.set(len(self._aliased))
 
     def retest_followups(self, day: int) -> Set[IPv6Prefix]:
         """Immediately re-test queued near-miss candidates.

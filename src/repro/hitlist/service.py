@@ -39,7 +39,7 @@ from repro.simnet.internet import SimInternet
 from repro.vantage import VantageFleet, default_vantage_specs, validate_policy
 
 #: Addresses within this many days of the 30-day filter's deadline are
-#: force-probed under incremental scheduling (see _eviction_watchlist).
+#: force-probed under incremental scheduling (see _apply_30day_filter).
 _LAST_CHANCE_DAYS = 4
 
 #: The per-scan metrics block of a :class:`ScanSnapshot`: short key ->
@@ -572,7 +572,7 @@ class HitlistService:
             self._m_input.labels(source=source_name).inc(len(new))
         return new
 
-    def _apply_30day_filter(self, day: int) -> int:
+    def _apply_30day_filter(self, day: int) -> Tuple[int, Optional[Set[int]]]:
         """Drop addresses unresponsive for more than the threshold.
 
         Days lost to scheduled vantage outages do not count towards the
@@ -581,11 +581,24 @@ class HitlistService:
         fabricate churn.  In fleet mode only *fleet-wide* outage days
         count — while any member is live, orphaned shards re-home to the
         survivors and targets can still prove responsiveness.
+
+        Returns the number of addresses dropped and, under incremental
+        scheduling, the eviction watchlist collected by the same pass:
+        surviving addresses close to the deadline, which the scheduler
+        must not carry.  A first response blooming while carried would
+        go unrecorded and the address would be evicted, a divergence the
+        final full scan cannot repair (full-scan mode would have kept
+        it).  The watchlist counts raw days and ignores scheduled-outage
+        credits — that only widens it, never narrows it.
         """
         threshold = self.settings.unresponsive_days
         plan = self.fault_plan
         fleet = self.fleet
         history = self.history
+        watch: Optional[Set[int]] = None
+        if self.scheduler is not None:
+            watch = set()
+            horizon = threshold - _LAST_CHANCE_DAYS
         to_remove = []
         for address in self._scan_pool:
             reference = self._last_responsive.get(
@@ -601,6 +614,8 @@ class HitlistService:
                     elapsed -= plan.outage_days_between(reference, day)
             if elapsed > threshold:
                 to_remove.append(address)
+            elif watch is not None and day - reference >= horizon:
+                watch.add(address)
         for address in to_remove:
             self._scan_pool.discard(address)
             self._first_seen.pop(address, None)
@@ -608,27 +623,7 @@ class HitlistService:
             history.excluded.add(address)
         if to_remove:
             self._m_excluded.labels(reason="30day").inc(len(to_remove))
-        return len(to_remove)
-
-    def _eviction_watchlist(self, day: int) -> Set[int]:
-        """Addresses close to the 30-day filter's eviction deadline.
-
-        The incremental scheduler must not carry these: a first response
-        blooming while carried would go unrecorded and the address would
-        be evicted, a divergence the final full scan cannot repair
-        (full-scan mode would have kept it).  Scheduled-outage credits
-        are deliberately ignored here — that only widens the watchlist,
-        never narrows it.
-        """
-        horizon = self.settings.unresponsive_days - _LAST_CHANCE_DAYS
-        watch: Set[int] = set()
-        for address in self._scan_pool:
-            reference = self._last_responsive.get(
-                address, self._first_seen.get(address, day)
-            )
-            if day - reference >= horizon:
-                watch.add(address)
-        return watch
+        return len(to_remove), watch
 
     def _apply_gfw_historical_purge(self) -> None:
         """The one-time removal of injection-only addresses (Sec. 4.2)."""
@@ -809,7 +804,7 @@ class HitlistService:
 
         # 4. 30-day unresponsive filter
         with self.spans.span("hygiene"):
-            excluded_now = self._apply_30day_filter(day)
+            excluded_now, must_probe = self._apply_30day_filter(day)
 
         # 5. scans — one engine pass, or the fleet's shard/probe/
         # reconcile cycle when multiple vantages are configured.  Under
@@ -828,7 +823,7 @@ class HitlistService:
                     day,
                     self._scan_pool,
                     force_full,
-                    must_probe=self._eviction_watchlist(day),
+                    must_probe=must_probe,
                 )
                 targets = sched_plan.probe_targets
                 carried = scheduler.carried_scan(sched_plan)

@@ -45,8 +45,8 @@ from repro.net.teredo import TEREDO_PREFIX
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.protocols import DnsAnswer, Protocol, RecordType
-from repro.runtime.faults import RETRY_SALT
 from repro.scan import wire
+from repro.scan.loss import FAST_SALT, loss_inners
 from repro.scan.responses import ResponseTable
 from repro.scan.vecmix import (
     LaneKit, bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes,
@@ -65,7 +65,6 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 # inlined in the remaining scalar loops below)
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
-_FAST_SALT = 0x5CA11
 _TEREDO_BASE = TEREDO_PREFIX.value
 
 #: the four cheap protocols probed from one fused 64-bit loss draw, in
@@ -97,19 +96,6 @@ _BEHAVIOR_CODE = {
 }
 
 
-def _loss_inners(
-    scanner: "ZMapScanner", day: int, protocol: Protocol
-) -> Tuple[int, ...]:
-    """Per-attempt inner hashes of ``ZMapScanner._lost`` for one scan."""
-    return tuple(
-        mix64(
-            (day << 8) ^ int(protocol) ^ scanner._seed
-            ^ ((attempt * RETRY_SALT) & _M64)
-        )
-        for attempt in range(scanner._retry_attempts)
-    )
-
-
 class _ScanContext:
     """Per-(scanner, day, qname) constants hoisted out of the hot loop."""
 
@@ -122,16 +108,13 @@ class _ScanContext:
 
     def __init__(self, scanner: "ZMapScanner", day: int, qname: str) -> None:
         internet = scanner._internet
-        seed = scanner._seed
         self.attempts = scanner._retry_attempts
         self.loss_threshold = scanner._loss_threshold
         self.threshold16 = int(scanner._loss_rate * 65536.0)
         # inner mix64 of the loss formulas: constant per (day, attempt)
-        self.fast_inner = tuple(
-            mix64((day << 8) ^ seed ^ _FAST_SALT ^ ((attempt * RETRY_SALT) & _M64))
-            for attempt in range(self.attempts)
-        )
-        self.udp_inner = _loss_inners(scanner, day, Protocol.UDP53)
+        seed = scanner._seed
+        self.fast_inner = loss_inners(seed, day, FAST_SALT, self.attempts)
+        self.udp_inner = loss_inners(seed, day, int(Protocol.UDP53), self.attempts)
         gfw = internet.gfw
         self.gfw_era = gfw.active_era(day)
         self.inject_possible = (
@@ -930,7 +913,8 @@ class _ApdWave:
         )
         self.loss_threshold = scanner._loss_threshold
         self.inners = tuple(
-            _loss_inners(scanner, day, protocol) for protocol in _APD_PROTOCOLS
+            loss_inners(scanner._seed, day, int(protocol), scanner._retry_attempts)
+            for protocol in _APD_PROTOCOLS
         )
         self.count = 0
         self.burst = 0

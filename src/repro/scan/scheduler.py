@@ -36,6 +36,21 @@ flicker-immune: a probed prefix counts as *changed* only when its
 observed bits differ from the loss-filtered expectation, never because
 a probe happened to be lost.  All state rides in checkpoints via
 :meth:`IncrementalScheduler.state_dict`.
+
+What a scan costs the scheduler follows what can change, not the pool
+size.  ``absorb`` walks only addresses that answered a probe this scan
+or hold a carry entry: for every other probed address the observed
+bits, the estimate and the update are all 0, and the pool is
+overwhelmingly silent.  Loss replay takes its per-(day, attempt) inner
+constants from :func:`repro.scan.loss.loss_inners`, as the engine does,
+and draws for all replayed targets in one lane pass.  ``plan`` rebuilds
+the /64 groups only for prefixes whose membership changed since the
+previous plan, keeps each prefix's refresh phase and member signature,
+and tests only the day-dependent conditions (refresh phase, /48
+escalation, ``must_probe``, lottery) against the day from which the
+state-only carry conditions hold, which ``absorb`` recomputes for every
+prefix it touches.  None of that is serialized: a restored scheduler
+rebuilds it on its first plan.
 """
 
 from __future__ import annotations
@@ -45,18 +60,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CH
 
 from repro._util import mix64
 from repro.protocols import Protocol
-from repro.runtime.faults import RETRY_SALT
+from repro.scan.loss import FAST_SALT, loss_inners
+from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.gfw.filter import CleaningResult
+    from repro.gfw.filter import ScanCleaningResult
     from repro.obs.metrics import MetricsRegistry
     from repro.runtime.faults import FaultPlan
     from repro.scan.zmap import ScanResult, Udp53Result
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _UINT64_SPAN = float(1 << 64)
-#: fused fast-probe loss salt (must match the scan engine)
-_FAST_SALT = 0x5CA11
 #: salt separating the confirmation-sample lottery from every other
 #: SplitMix64 stream in the simulation
 _SAMPLE_SALT = 0x5C4ED5C4ED
@@ -85,6 +99,16 @@ _FAST_MASK = 0x0F
 #: the cleaned view (the filter subtracts it), but its replay must keep
 #: flowing or the 30-day filter would age it out earlier than full mode
 _INJECTED_ONLY = BIT_UDP53 | BIT_INJECTED
+#: carry values a carried prefix's members may hold
+_QUIET = (0, _INJECTED_ONLY)
+#: absorb's observation of a probed prefix none of whose members
+#: answered or held a carry entry: (raw_changed, visible_changed,
+#: was_visible, now_visible, hits, quiet)
+_SILENT = (False, False, False, False, 0, True)
+#: carry-from days: the state-only carry conditions hold on every day /
+#: on no day
+_ALWAYS = -(1 << 62)
+_NEVER = 1 << 62
 
 #: fast-path protocols paired with their carry bit, in the order the
 #: engine's fused loss draw slices them
@@ -126,7 +150,7 @@ DEGRADE_FACTOR = 0.5
 DEGRADE_FLOOR = 0.05
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefixPriority:
     """Churn/responsiveness state for one /64 prefix."""
 
@@ -235,6 +259,13 @@ class IncrementalScheduler:
         self._first_plan_day = -1
         #: /48 groups flagged for escalation on the next plan
         self._suspects: Set[int] = set()
+        # derived state, rebuilt by the first plan after a restore and
+        # never serialized: the pool the groups were built from, its
+        # /64 groups, and per prefix (refresh phase, member signature,
+        # carry-from day) — see _regroup and _carry_from
+        self._pool: Optional[Set[int]] = None
+        self._groups: Dict[int, List[int]] = {}
+        self._derived: Dict[int, Tuple[int, int, int]] = {}
         self._m_full = self._m_sampled = self._m_carried = self._m_repairs = None
         if metrics is not None:
             self._m_full = metrics.counter(
@@ -279,54 +310,161 @@ class IncrementalScheduler:
     # ------------------------------------------------------------------
     # loss replay
 
-    def _survivors(self, target: int, day: int) -> int:
-        """Which of the five probes would survive loss on ``day``.
+    def _replay(self, targets: Sequence[int], day: int) -> List[int]:
+        """Which of the five probes to each target survive loss on ``day``.
 
-        Replays the scanner's deterministic draws: the fused 64-bit
-        fast-protocol draw (16-bit slice per protocol), the per-protocol
-        UDP/53 draw, retry re-draws, and correlated loss bursts.  Pure
-        computation — no ground-truth access, no probe budget.
+        Replays the scanner's deterministic draws in one lane pass: the
+        fused 64-bit fast-protocol draw (16-bit slice per protocol), the
+        UDP/53 draw, retry re-draws, and correlated loss bursts, with the
+        engine's own per-(day, attempt) inner constants.  A probe
+        survives when any attempt does, so OR-ing every attempt's
+        survivors gives the scanner's early-exit retry loop bit for bit.
+        Pure computation — no ground-truth access, no probe budget.
         """
-        plan = self._fault_plan
-        if plan is not None and plan.burst_lost(target, day):
-            return 0
-        base = (target & _M64) ^ (target >> 64)
+        n = len(targets)
+        if not n:
+            return []
+        size = 1 << (n - 1).bit_length()
+        kit = lane_kit(size)
+        # survivors are one byte per target: the fast nibble, then the
+        # UDP/53 bit; without loss every byte of a draw survives
+        every = int.from_bytes(b"\x01" * size, "little")
+        fast = _FAST_MASK * every
+        udp = every
+        if self._threshold16 or self._threshold64:
+            bases = [(target & _M64) ^ (target >> 64) for target in targets]
+            bases.extend([0] * (size - n))
+            packed = pack_lanes(bases)
         if self._threshold16:
-            surviving = 0
-            for attempt in range(self._attempts):
-                draw = mix64(
-                    base
-                    ^ mix64(
-                        (day << 8)
-                        ^ self._seed
-                        ^ _FAST_SALT
-                        ^ ((attempt * RETRY_SALT) & _M64)
-                    )
-                )
-                for index in range(4):
-                    if ((draw >> (16 * index)) & 0xFFFF) >= self._threshold16:
-                        surviving |= 1 << index
-                if surviving == _FAST_MASK:
-                    break
-        else:
-            surviving = _FAST_MASK
+            fast = 0
+            for inner in loss_inners(self._seed, day, FAST_SALT, self._attempts):
+                draws = bulk_mix64_xor(packed, inner, kit)
+                fast |= int.from_bytes(survive16(draws, self._threshold16, kit), "little")
         if self._threshold64:
-            for attempt in range(self._attempts):
-                draw = mix64(
-                    base
-                    ^ mix64(
-                        (day << 8)
-                        ^ int(Protocol.UDP53)
-                        ^ self._seed
-                        ^ ((attempt * RETRY_SALT) & _M64)
-                    )
-                )
-                if draw >= self._threshold64:
-                    surviving |= BIT_UDP53
-                    break
-        else:
-            surviving |= BIT_UDP53
-        return surviving
+            udp = 0
+            for inner in loss_inners(self._seed, day, int(Protocol.UDP53), self._attempts):
+                draws = bulk_mix64_xor(packed, inner, kit)
+                udp |= int.from_bytes(survive64(draws, self._threshold64, kit), "little")
+        survivors = list((fast | udp << 4).to_bytes(size, "little")[:n])
+        plan = self._fault_plan
+        if plan is not None and plan.bursts:
+            for index, target in enumerate(targets):
+                if plan.burst_lost(target, day):
+                    survivors[index] = 0
+        return survivors
+
+    # ------------------------------------------------------------------
+    # derived per-prefix state (never serialized)
+
+    def _regroup(self, pool: Set[int]) -> Dict[int, List[int]]:
+        """The pool's /64 groups, members sorted, in prefix order.
+
+        Built with one sort on the first plan (and after a restore);
+        later plans rebuild only the prefixes that gained or lost a
+        member since the previous plan's pool, and drop their derived
+        entries.  Group lists are replaced, never mutated, because
+        earlier plans hand them out in ``probe_groups``.
+        """
+        previous = self._pool
+        self._pool = set(pool)
+        if previous is None:
+            groups: Dict[int, List[int]] = {}
+            for address in sorted(pool):
+                members = groups.get(address >> 64)
+                if members is None:
+                    groups[address >> 64] = [address]
+                else:
+                    members.append(address)
+            self._groups = groups
+            self._derived = {}
+            return groups
+        removed = previous - pool
+        fresh: Dict[int, List[int]] = {}
+        for address in pool - previous:
+            fresh.setdefault(address >> 64, []).append(address)
+        if not removed and not fresh:
+            return self._groups
+        groups = self._groups
+        derived = self._derived
+        dirty = set(fresh)
+        dirty.update(address >> 64 for address in removed)
+        grown = False
+        for prefix in dirty:
+            derived.pop(prefix, None)
+            members = [a for a in groups.get(prefix, ()) if a not in removed]
+            members.extend(fresh.get(prefix, ()))
+            if not members:
+                del groups[prefix]
+                continue
+            members.sort()
+            grown = grown or prefix not in groups
+            groups[prefix] = members
+        if grown:
+            groups = self._groups = {prefix: groups[prefix] for prefix in sorted(groups)}
+        return groups
+
+    def _phase(self, prefix: int) -> int:
+        """The prefix's refresh phase: refreshed when ``(scan_index +
+        phase) % refresh_interval == 0``, staggered by ``mix64``."""
+        return mix64((prefix ^ self._seed ^ _REFRESH_SALT) & _M64) % self.refresh_interval
+
+    def _carry_from(
+        self,
+        state: Optional[PrefixPriority],
+        members: Sequence[int],
+        sig: int,
+        quiet: bool,
+    ) -> int:
+        """First day from which the prefix's state-only carry conditions hold.
+
+        Everything ``plan`` tests that changes only when ``absorb``
+        updates the state or carry store, or when membership changes:
+        streak, flaps, degradation, membership signature, quiet carry
+        entries, and the quiet-age probation (or the never-visible
+        fast-track).  ``quiet`` is whether every member's carry entry
+        is 0 or injection-only.  :data:`_NEVER` when they cannot hold.
+        """
+        if (
+            state is None
+            or not quiet
+            or state.last_probe_day < 0
+            or state.degraded
+            or state.flaps >= MAX_FLAPS
+            or state.unchanged_probes < STABLE_AFTER + FLAP_PENALTY * state.flaps
+            or len(members) != state.member_count
+            or sig != state.member_sig
+        ):
+            return _NEVER
+        # never-visible mid-campaign discoveries (trace routers,
+        # injection artifacts) skip the quiet-age probation: a duty
+        # cycle is only a risk for space that has actually answered a
+        # probe.  The campaign-start cohort keeps it — input hitlists
+        # are host-backed, and a host dark on day one blooms within its
+        # flap period
+        if not state.ever_visible and state.first_probe_day > self._first_plan_day:
+            return _ALWAYS
+        if state.last_change_day >= 0:
+            return state.last_change_day + QUIET_AGE_DAYS
+        return _NEVER
+
+    def _derive(self, prefix: int, members: List[int]) -> Tuple[int, int, int]:
+        """(phase, member signature, carry-from day) of one group."""
+        sig = self._signature(members)
+        carry = self._carry
+        # only quiet prefixes are carried: hosts flap in multi-day duty
+        # cycles that no amount of observed stability can rule out, so
+        # a carried responder is a standing divergence risk, while a
+        # carried silent prefix can only ever miss a first response
+        # until its next refresh.  The pool is overwhelmingly silent
+        # (the paper's hitlists are ~5 % responsive), so this is where
+        # the probe budget actually goes.  Injection-only addresses
+        # count as quiet: the cleaned view subtracts them either way
+        quiet = all(carry.get(address, 0) in _QUIET for address in members)
+        return (
+            self._phase(prefix),
+            sig,
+            self._carry_from(self._prefixes.get(prefix), members, sig, quiet),
+        )
 
     # ------------------------------------------------------------------
     # planning
@@ -347,19 +485,23 @@ class IncrementalScheduler:
         the service passes addresses nearing the 30-day filter's
         eviction deadline so a late first response cannot be missed
         while carried and silently evicted.
+
+        Per prefix, only the day-dependent conditions are evaluated
+        here (refresh phase, /48 escalation, ``must_probe``, lottery);
+        the rest is the derived carry-from day that ``absorb`` keeps.
         """
         if self._first_plan_day < 0:
             self._first_plan_day = day
         pool_set = pool if isinstance(pool, (set, frozenset)) else set(pool)
-        groups: Dict[int, List[int]] = {}
-        for address in pool_set:
-            groups.setdefault(address >> 64, []).append(address)
+        groups = self._regroup(pool_set)
         # prune state for prefixes/addresses that left the pool so the
         # checkpoint footprint tracks the live pool
-        for prefix in [p for p in self._prefixes if p not in groups]:
-            del self._prefixes[prefix]
-        for address in [a for a in self._carry if a not in pool_set]:
-            del self._carry[address]
+        prefixes = self._prefixes
+        for prefix in prefixes.keys() - groups.keys():
+            del prefixes[prefix]
+        carry = self._carry
+        for address in carry.keys() - pool_set:
+            del carry[address]
 
         probe_targets: List[int] = []
         carried: List[int] = []
@@ -368,69 +510,33 @@ class IncrementalScheduler:
         full_targets = 0
         sampled_targets = 0
         day_hash = mix64((day ^ self._seed ^ _SAMPLE_SALT) & _M64)
+        threshold = self._sample_threshold
         scan_index = self._scan_index
         self._scan_index = scan_index + 1
+        # each prefix refreshes once every refresh_interval scans, on a
+        # mix64-staggered phase so refreshes spread evenly instead of
+        # arriving in the wave the prefixes stabilised in
+        due = -scan_index % self.refresh_interval
         escalated = self._suspects
         self._suspects = set()
-        for prefix in sorted(groups):
-            members = sorted(groups[prefix])
-            state = self._prefixes.get(prefix)
-            # each prefix refreshes once every refresh_interval scans, on
-            # a mix64-staggered phase so refreshes spread evenly instead
-            # of arriving in the wave the prefixes stabilised in
-            refresh_due = (
-                scan_index + mix64((prefix ^ self._seed ^ _REFRESH_SALT) & _M64)
-            ) % self.refresh_interval == 0
-            stable = (
-                not force_full
-                and state is not None
-                and state.last_probe_day >= 0
-                and not state.degraded
-                and state.flaps < MAX_FLAPS
-                and state.unchanged_probes >= STABLE_AFTER + FLAP_PENALTY * state.flaps
-                and not refresh_due
-                and (prefix >> _GROUP_SHIFT) not in escalated
-                # never-visible mid-campaign discoveries (trace routers,
-                # injection artifacts) skip the quiet-age probation: a
-                # duty cycle is only a risk for space that has actually
-                # answered a probe.  The campaign-start cohort keeps it —
-                # input hitlists are host-backed, and a host dark on day
-                # one blooms within its flap period
-                and (
-                    (
-                        not state.ever_visible
-                        and state.first_probe_day > self._first_plan_day
-                    )
-                    or (
-                        state.last_change_day >= 0
-                        and day - state.last_change_day >= QUIET_AGE_DAYS
-                    )
+        derived = self._derived
+        for prefix, members in groups.items():
+            stable = False
+            if not force_full:
+                entry = derived.get(prefix)
+                if entry is None:
+                    entry = derived[prefix] = self._derive(prefix, members)
+                phase, _sig, carry_from = entry
+                stable = (
+                    carry_from <= day
+                    and phase != due
+                    and (prefix >> _GROUP_SHIFT) not in escalated
+                    and (must_probe is None or must_probe.isdisjoint(members))
                 )
-                and (
-                    must_probe is None
-                    or all(address not in must_probe for address in members)
-                )
-                and len(members) == state.member_count
-                and self._signature(members) == state.member_sig
-                # only quiet prefixes are carried: hosts flap in
-                # multi-day duty cycles that no amount of observed
-                # stability can rule out, so a carried responder is a
-                # standing divergence risk, while a carried silent
-                # prefix can only ever miss a first response until its
-                # next refresh.  The pool is overwhelmingly silent
-                # (the paper's hitlists are ~5 % responsive), so this
-                # is where the probe budget actually goes.  Injection-
-                # only addresses count as quiet: the cleaned view
-                # subtracts them either way
-                and all(
-                    self._carry.get(address, 0) in (0, _INJECTED_ONLY)
-                    for address in members
-                )
-            )
-            if stable and mix64((prefix ^ day_hash) & _M64) >= self._sample_threshold:
-                state.scans_since_probe += 1
-                carried.extend(members)
-                continue
+                if stable and mix64((prefix ^ day_hash) & _M64) >= threshold:
+                    prefixes[prefix].scans_since_probe += 1
+                    carried.extend(members)
+                    continue
             probe_targets.extend(members)
             probe_groups.append((prefix, members))
             if stable:
@@ -464,13 +570,10 @@ class IncrementalScheduler:
         """
         fast: Tuple[Set[int], ...] = tuple(set() for _ in FAST_BITS)
         udp: Set[int] = set()
-        day = plan.day
         carry = self._carry
-        for address in plan.carried:
-            bits = carry.get(address, 0)
-            if not bits:
-                continue
-            live = bits & self._survivors(address, day)
+        replayed = [address for address in plan.carried if carry.get(address, 0)]
+        for address, survivors in zip(replayed, self._replay(replayed, plan.day)):
+            live = carry[address] & survivors
             if not live:
                 continue
             for index, (_, bit) in enumerate(FAST_BITS):
@@ -485,8 +588,8 @@ class IncrementalScheduler:
         carry = self._carry
         return {
             address
-            for address in plan.carried
-            if address in udp_responders and carry.get(address, 0) & BIT_INJECTED
+            for address in udp_responders.intersection(plan.carried)
+            if carry.get(address, 0) & BIT_INJECTED
         }
 
     # ------------------------------------------------------------------
@@ -497,7 +600,7 @@ class IncrementalScheduler:
         plan: ScanPlan,
         results: Dict[Protocol, "ScanResult"],
         udp53: "Udp53Result",
-        cleaning: "CleaningResult",
+        cleaning: "ScanCleaningResult",
     ) -> None:
         """Fold probed outcomes back into the priority + carry state.
 
@@ -508,6 +611,11 @@ class IncrementalScheduler:
         inside ``cleaning`` — carried responders ride into the merge
         without response objects, so the GFW filter classified them
         clean; the carry store remembers which of them were injected.
+
+        Only addresses that answered a probe this scan or hold a carry
+        entry are walked: for any other probed address the observed
+        bits, the estimate, the expectation and the update are all 0,
+        so it changes nothing but its prefix's hit count (by 0).
         """
         day = plan.day
         carry = self._carry
@@ -515,18 +623,30 @@ class IncrementalScheduler:
         udp_responders = udp53.responders
         injected = cleaning.injected_responders
         repairs = 0
+        active = set(udp_responders).union(*(responders for responders, _ in fast_lookup))
+        active.update(carry)
+        touched: List[Tuple[int, Set[int]]] = []
+        addresses: List[int] = []
+        for prefix, members in plan.probe_groups:
+            hit = active.intersection(members)
+            if hit:
+                touched.append((prefix, hit))
+                addresses.extend(hit)
+        survivors_of = iter(self._replay(addresses, day))
+        visible = self._visible
         # pass 1: fold observations into the carry store and classify
         # each probed prefix; /48 rotation detection needs the whole
         # scan's transitions before any priority state is updated
-        observations = []
+        observations: Dict[int, Tuple[bool, bool, bool, bool, int, bool]] = {}
         rotation_candidates: Dict[int, int] = {}
-        for prefix, members in plan.probe_groups:
+        for prefix, hit in touched:
             raw_changed = False
             visible_changed = False
             was_visible = False
             now_visible = False
+            quiet = True
             hits = 0
-            for address in members:
+            for address in hit:
                 observed = 0
                 for responders, bit in fast_lookup:
                     if address in responders:
@@ -535,16 +655,16 @@ class IncrementalScheduler:
                     observed |= BIT_UDP53
                     if address in injected:
                         observed |= BIT_INJECTED
-                survivors = self._survivors(address, day)
+                survivors = next(survivors_of)
                 estimate = carry.get(address, 0)
                 expected = estimate & survivors
                 if expected & BIT_UDP53 and estimate & BIT_INJECTED:
                     expected |= BIT_INJECTED
                 if observed != expected:
                     raw_changed = True
-                    if self._visible(observed) != self._visible(expected):
+                    if visible(observed) != visible(expected):
                         visible_changed = True
-                if self._visible(estimate):
+                if visible(estimate):
                     was_visible = True
                 # protocols whose probe survived report ground truth;
                 # lost probes keep the previous estimate
@@ -553,18 +673,19 @@ class IncrementalScheduler:
                 updated = (estimate & ~survivors) | (observed & survivors)
                 if updated:
                     carry[address] = updated
+                    if updated != _INJECTED_ONLY:
+                        quiet = False
                 elif estimate:
                     del carry[address]
                 # hit rates come from the loss-corrected estimate of the
                 # *cleaned* view: unlucky loss cannot crater the EWMA,
                 # and injection-only addresses are not responders (an
                 # injection era ending is not mass host degradation)
-                if self._visible(updated):
+                if visible(updated):
                     hits += 1
                     now_visible = True
-            observations.append(
-                (prefix, members, raw_changed, visible_changed, was_visible,
-                 now_visible, hits)
+            observations[prefix] = (
+                raw_changed, visible_changed, was_visible, now_visible, hits, quiet
             )
             if visible_changed and was_visible and not now_visible:
                 group = prefix >> _ROTATION_SHIFT
@@ -577,11 +698,15 @@ class IncrementalScheduler:
             if count >= ROTATION_MIN_PREFIXES
         }
         # pass 2: update priority state
-        for (prefix, members, raw_changed, visible_changed, was_visible,
-             now_visible, hits) in observations:
-            state = self._prefixes.get(prefix)
+        prefixes = self._prefixes
+        groups = self._groups
+        derived = self._derived
+        for prefix, members in plan.probe_groups:
+            (raw_changed, visible_changed, was_visible, now_visible, hits,
+             quiet) = observations.get(prefix, _SILENT)
+            state = prefixes.get(prefix)
             if state is None:
-                state = self._prefixes[prefix] = PrefixPriority()
+                state = prefixes[prefix] = PrefixPriority()
             first_probe = state.last_probe_day < 0
             if first_probe:
                 state.first_probe_day = day
@@ -604,8 +729,12 @@ class IncrementalScheduler:
                     # churn is spatially correlated (CPE rotation flips
                     # whole customer groups): re-probe the /48 next scan
                     self._suspects.add(prefix >> _GROUP_SHIFT)
+            # the group's derived entry describes exactly these members
+            # only while they are still the current group
+            current = groups.get(prefix) is members
+            entry = derived.get(prefix) if current else None
             count = len(members)
-            sig = self._signature(members)
+            sig = self._signature(members) if entry is None else entry[1]
             membership_changed = count != state.member_count or sig != state.member_sig
             if membership_changed:
                 changed = True
@@ -642,6 +771,14 @@ class IncrementalScheduler:
                 state.unchanged_probes += 1
             state.last_probe_day = day
             state.scans_since_probe = 0
+            if current:
+                derived[prefix] = (
+                    self._phase(prefix) if entry is None else entry[0],
+                    sig,
+                    self._carry_from(state, members, sig, quiet),
+                )
+            else:
+                derived.pop(prefix, None)
         carried_injected = self.carried_injected(plan, udp_responders)
         if carried_injected:
             cleaning.clean_responders -= carried_injected
@@ -679,6 +816,9 @@ class IncrementalScheduler:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
+        self._pool = None
+        self._groups = {}
+        self._derived = {}
         self._scan_index = int(state.get("scan_index", 0))  # type: ignore[arg-type]
         self._first_plan_day = int(state.get("first_plan_day", -1))  # type: ignore[arg-type]
         self._suspects = {int(g) for g in state.get("suspects", ())}  # type: ignore[union-attr]

@@ -20,8 +20,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 from repro._util import mix64
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import DnsResponse, Protocol
-from repro.runtime.faults import RETRY_SALT, FaultPlan, RetryPolicy
+from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
+from repro.scan.loss import loss_inners
 from repro.simnet.internet import SimInternet
 
 _UINT64_SPAN = float(1 << 64)
@@ -136,27 +137,24 @@ class ZMapScanner:
         """The blocklist honoured by every probe."""
         return self._blocklist
 
-    def _lost(self, address: int, protocol: Protocol, day: int) -> bool:
+    def _loss_inners(self, protocol: Protocol, day: int) -> Tuple[int, ...]:
+        """Inner loss hashes of one scan; empty when nothing is lost."""
+        if self._loss_threshold == 0:
+            return ()
+        return loss_inners(self._seed, day, int(protocol), self._retry_attempts)
+
+    def _lost(self, address: int, inners: Tuple[int, ...]) -> bool:
         """I.i.d. loss only; callers check correlated bursts themselves
         (a retransmission inside a burst dies the same way, so bursts
         are not retryable and are counted separately)."""
-        if self._loss_threshold == 0:
+        if not inners:
             return False
         base = (address & _M64) ^ (address >> 64)
-        for attempt in range(self._retry_attempts):
-            draw = mix64(
-                base
-                ^ mix64(
-                    (day << 8)
-                    ^ int(protocol)
-                    ^ self._seed
-                    ^ ((attempt * RETRY_SALT) & _M64)
-                )
-            )
-            if draw >= self._loss_threshold:
+        for attempt, inner in enumerate(inners):
+            if mix64(base ^ inner) >= self._loss_threshold:
                 self._retry_draws += attempt
                 return False
-        self._retry_draws += self._retry_attempts - 1
+        self._retry_draws += len(inners) - 1
         return True
 
     def _suppressed(
@@ -188,6 +186,7 @@ class ZMapScanner:
         rate_limited = 0
         internet = self._internet
         blocklist = self._blocklist
+        inners = self._loss_inners(protocol, day)
         for target in targets:
             if blocklist.is_blocked(target):
                 continue
@@ -197,7 +196,7 @@ class ZMapScanner:
             if plan is not None and plan.burst_lost(target, day):
                 burst_suppressed += 1
                 continue
-            if self._lost(target, protocol, day):
+            if self._lost(target, inners):
                 continue
             if internet.responds(target, protocol, day):
                 responders.add(target)
@@ -231,6 +230,7 @@ class ZMapScanner:
         rate_limited = 0
         internet = self._internet
         blocklist = self._blocklist
+        inners = self._loss_inners(Protocol.UDP53, day)
         for target in targets:
             if blocklist.is_blocked(target):
                 continue
@@ -240,7 +240,7 @@ class ZMapScanner:
             if plan is not None and plan.burst_lost(target, day):
                 burst_suppressed += 1
                 continue
-            if self._lost(target, Protocol.UDP53, day):
+            if self._lost(target, inners):
                 continue
             responses = internet.dns_probe(target, qname, day)
             if responses:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro._util import mix64
 from repro.hitlist.apd import AliasedPrefixDetection
 from repro.net.prefix import IPv6Prefix
 from repro.obs.metrics import MetricsRegistry
@@ -189,3 +190,41 @@ def test_generated_scenarios(
         loss_rate=loss_rate, seed=seed, fault_plan=plan,
         retry=RetryPolicy(attempts=attempts),
     )
+
+
+def test_wave_metrics_match_per_prefix_rounds(small_world, wave):
+    """``_test_wave`` records APD metrics once per wave, per level; its
+    verdicts, state and ``metrics.state_dict()`` must equal one
+    ``test_prefix`` call per prefix, over rounds that alias, near-miss
+    and de-list prefixes at every candidate level."""
+    full = (1 << 16) - 1
+    levels = ("bgp", "slash64", "longer")
+    batched, _scanner, batched_metrics = _detector(small_world)
+    single, _scanner, single_metrics = _detector(small_world)
+    for index, prefix in enumerate(wave):
+        batched._candidate_level[prefix] = single._candidate_level[prefix] = levels[index % 3]
+
+    def bitmap(index: int, day: int) -> int:
+        draw = mix64(index * 1009 + day)
+        choices = (full, full, full ^ (1 << day % 16), 0, draw & full)
+        return choices[draw % len(choices)]
+
+    for day in range(8):
+        bitmaps = [bitmap(index, day) for index in range(len(wave))]
+        batched._batch_bitmaps = lambda prefixes, _day, bitmaps=bitmaps: list(bitmaps)
+        changed: set = set()
+        batched._test_wave([], day, changed)
+        assert batched_metrics.state_dict() == single_metrics.state_dict()
+        batched._test_wave(wave, day, changed)
+        expected = set()
+        for prefix, value in zip(wave, bitmaps):
+            was = prefix in single._aliased
+            if single.test_prefix(prefix, day, bitmap=value) != was:
+                expected.add(prefix)
+        assert changed == expected
+        assert batched._aliased == single._aliased
+        assert batched._followup == single._followup
+        assert batched._history == single._history
+        assert batched_metrics.state_dict() == single_metrics.state_dict()
+    verdicts = single_metrics.get("repro_apd_alias_verdicts_total")
+    assert {labels[0] for labels, _ in verdicts.series_items()} == {"aliased", "delisted"}
