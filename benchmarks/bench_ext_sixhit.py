@@ -29,7 +29,10 @@ def test_ext_sixhit_feedback(benchmark, truth_world, emit):
     day = 60
 
     def probe(candidates):
-        return set(scanner.scan(sorted(candidates), Protocol.ICMP, day).responders)
+        results, _udp53 = scanner.scan_all_protocols(
+            sorted(candidates), day, "www.google.com"
+        )
+        return set(results[Protocol.ICMP].responders)
 
     def run_both():
         feedback = SixHit(budget=40_000, rounds=4, seed=3)

@@ -16,7 +16,7 @@ Run:  python examples/gfw_cleaning.py
 from repro._util import day_to_date
 from repro.analysis import ascii_table, si_format
 from repro.analysis.formatting import percent
-from repro.gfw.detector import classify_target
+from repro.gfw import GfwFilter
 from repro.gfw.impact import impact_report
 from repro.hitlist import HitlistService
 from repro.hitlist.service import ServiceSettings
@@ -34,7 +34,7 @@ def inspect_single_injection(internet, day: int) -> None:
     dead_target = prefix.value | 0xDEAD_BEEF  # no host lives here
 
     scanner = ZMapScanner(internet, loss_rate=0.0)
-    result = scanner.scan_udp53([dead_target], day, "www.google.com")
+    _fast, result = scanner.scan_all_protocols([dead_target], day, "www.google.com")
     responses = result.responses[dead_target]
     print(f"probe to dead address {format_ipv6(dead_target)} "
           f"-> {len(responses)} responses:")
@@ -48,11 +48,14 @@ def inspect_single_injection(internet, day: int) -> None:
                       f"{embedded & 255})")
             else:
                 print(f"  {answer.rtype.value} answer")
-    evidence = classify_target(responses)
-    print("detector evidence:", {kind.value: n for kind, n in evidence.items()})
+    evidence = GfwFilter().clean_scan(result).evidence_counts
+    print("detector evidence:",
+          dict(sorted((kind.value, n) for kind, n in evidence.items())))
 
     # An unblocked domain gets silence — not even a DNS error.
-    silent = scanner.scan_udp53([dead_target], day, "definitely-not-blocked.example")
+    _fast, silent = scanner.scan_all_protocols(
+        [dead_target], day, "definitely-not-blocked.example"
+    )
     print(f"same address, unblocked domain -> "
           f"{len(silent.responses.get(dead_target, ()))} responses\n")
 

@@ -46,9 +46,12 @@ def main() -> None:
         service.apd, known_addresses=history.input_ever
     )
     scanner = ZMapScanner(internet, loss_rate=0.0)
-    result = scanner.scan(list(representatives.values()), Protocol.ICMP, final_day)
+    results, _udp53 = scanner.scan_all_protocols(
+        list(representatives.values()), final_day, "www.google.com"
+    )
     print(f"\nrepresentatives: {len(representatives)} aliased prefixes get "
-          f"one scan target each; {len(result.responders)} answered ICMP — "
+          f"one scan target each; {len(results[Protocol.ICMP].responders)} "
+          f"answered ICMP — "
           f"kept in the hitlist instead of silently dropping whole CDNs")
 
     # --- 3. publication ----------------------------------------------------

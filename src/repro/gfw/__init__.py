@@ -12,7 +12,6 @@ from repro.gfw.detector import (
     Ipv4Whois,
     answer_evidence,
     classify_response,
-    classify_target,
 )
 from repro.gfw.filter import GfwFilter, ScanCleaningResult
 from repro.gfw.impact import GfwImpactReport, impact_report
@@ -25,6 +24,5 @@ __all__ = [
     "ScanCleaningResult",
     "answer_evidence",
     "classify_response",
-    "classify_target",
     "impact_report",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Container, Iterable, Optional, Sequence, Tuple
 
 from repro.net.teredo import is_teredo
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
@@ -126,40 +126,4 @@ def classify_response(
     return response_evidence(
         response.status, response.answers, expected_rtype, whois,
         domain_owner_asns,
-    )
-
-
-def classify_target(
-    responses: Sequence[DnsResponse],
-    expected_rtype: RecordType = RecordType.AAAA,
-    whois: Ipv4Whois = DEFAULT_WHOIS,
-) -> Dict[InjectionEvidence, int]:
-    """Aggregate forgery evidence across all responses to one probe.
-
-    Returns a (possibly empty) evidence histogram.  A target with any
-    evidence is treated as injection-affected for this scan.
-    """
-    evidence: Dict[InjectionEvidence, int] = {}
-    if len(responses) > 1:
-        evidence[InjectionEvidence.MULTIPLE_RESPONSES] = len(responses)
-    for response in responses:
-        kind = classify_response(response, expected_rtype, whois)
-        if kind is not None:
-            evidence[kind] = evidence.get(kind, 0) + 1
-    return evidence
-
-
-def is_injected_target(
-    responses: Sequence[DnsResponse],
-    expected_rtype: RecordType = RecordType.AAAA,
-    whois: Ipv4Whois = DEFAULT_WHOIS,
-) -> bool:
-    """True when a probe's responses carry *record-level* forgery evidence.
-
-    Multiple responses alone are treated as corroborating, not
-    sufficient: retransmissions can legitimately duplicate answers.
-    """
-    return any(
-        classify_response(response, expected_rtype, whois) is not None
-        for response in responses
     )

@@ -18,14 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
     InjectionEvidence,
     Ipv4Whois,
     answer_evidence,
-    classify_target,
     response_evidence,
 )
 from repro.net.teredo import is_teredo
@@ -99,48 +98,27 @@ class GfwFilter:
     def clean_scan(self, result: Udp53Result) -> ScanCleaningResult:
         """Split one scan's responders into clean and injected.
 
-        Equivalent to ``is_injected_target`` + ``classify_target`` per
-        responder, but classifies each response once: a target is
-        injected exactly when it carries record-level evidence
-        (``MULTIPLE_RESPONSES`` alone is corroborating, not sufficient).
-        A scan engine's packed response table is classified row by row
-        without building response objects; any other mapping goes
-        through :func:`classify_target`.  Both reduce to
-        :func:`answer_evidence`.
+        A responder is injected exactly when one of its responses
+        carries record-level evidence (:func:`answer_evidence`);
+        ``MULTIPLE_RESPONSES`` alone is corroborating, not sufficient,
+        and is counted only for injected responders.  The scan's
+        :class:`ResponseTable` is classified row by row without
+        building response objects; responders without a row (carried
+        forward by the incremental scheduler) are clean.
         """
+        if not isinstance(result.responses, ResponseTable):
+            raise TypeError(
+                "clean_scan needs the scan's ResponseTable as "
+                f"result.responses, got {type(result.responses).__name__}"
+            )
         cleaning = ScanCleaningResult(day=result.day)
-        if isinstance(result.responses, ResponseTable):
-            self._clean_table(result.responders, result.responses, cleaning)
-        else:
-            self._clean_mapping(result.responders, result.responses, cleaning)
+        self._clean_table(result.responders, result.responses, cleaning)
         self.ever_injected.update(cleaning.injected_responders)
         if self._metrics is not None:
             # one increment per kind and scan, not per responder
             for kind, count in cleaning.evidence_counts.items():
                 self._m_evidence.labels(kind=kind.value).inc(count)
         return cleaning
-
-    def _clean_mapping(
-        self, responders: Set[int], responses_of: Mapping,
-        cleaning: ScanCleaningResult,
-    ) -> None:
-        evidence = cleaning.evidence_counts
-        multiple = InjectionEvidence.MULTIPLE_RESPONSES
-        for responder in responders:
-            responses = responses_of.get(responder, ())
-            counts = classify_target(responses)
-            if any(kind is not multiple for kind in counts):
-                cleaning.injected_responders.add(responder)
-                for kind, count in counts.items():
-                    evidence[kind] = evidence.get(kind, 0) + count
-                self._attribute(
-                    ipv4
-                    for response in responses
-                    for answer in response.answers
-                    for ipv4 in _ipv4s_of(answer.rtype, (answer.address,))
-                )
-            else:
-                cleaning.clean_responders.add(responder)
 
     def _clean_table(
         self, responders: Set[int], table: ResponseTable,

@@ -25,7 +25,6 @@ from repro.net.prefix import IPv6Prefix
 from repro.net.random_addr import spread_addresses
 from repro.net.trie import PrefixTrie
 from repro.obs.metrics import MetricsRegistry
-from repro.protocols import Protocol
 from repro.scan.engine import apd_wave_bitmaps
 from repro.scan.zmap import ZMapScanner
 
@@ -155,32 +154,15 @@ class AliasedPrefixDetection:
     # ------------------------------------------------------------------
     # probing
 
-    def _probe_bitmap(self, prefix: IPv6Prefix, day: int, attempt: int) -> int:
-        """Per-spot responsiveness (bit i = subprefix i answered).
-
-        The probe nonce mixes the attempt count so repeated rounds —
-        even on the same day, e.g. during bootstrap — draw independent
-        addresses and therefore independent loss.
-        """
-        probes = spread_addresses(prefix, _PROBE_COUNT, nonce=(day << 4) | (attempt & 0xF))
-        bitmap = 0
-        icmp = self._scanner.scan(probes, Protocol.ICMP, day).responders
-        tcp = self._scanner.scan(probes, Protocol.TCP80, day).responders
-        for index, address in enumerate(probes):
-            if address in icmp or address in tcp:
-                bitmap |= 1 << index
-        full = (1 << len(probes)) - 1
-        if len(probes) < _PROBE_COUNT:
-            # prefixes near /128: fewer distinct spots, pad as responsive
-            bitmap |= ((1 << _PROBE_COUNT) - 1) ^ full
-        return bitmap
-
     def _batch_bitmaps(self, prefixes: List[IPv6Prefix], day: int) -> List[int]:
-        """Per-spot bitmaps for many prefixes in one wave pass.
+        """Per-spot responsiveness bitmaps (bit i = subprefix i answered).
 
-        Produces exactly what :meth:`_probe_bitmap` would per prefix
-        (same probe addresses, loss draws, metric totals and padding),
-        but probes go through the engine's chunked columnar path: one
+        Each prefix gets 16 probes, one pseudo-random address per
+        next-nibble subprefix, each probed with ICMP and TCP/80.  The
+        probe nonce mixes the prefix's round count, so repeated rounds
+        (even on the same day, e.g. during bootstrap) draw independent
+        addresses and therefore independent loss.  All prefixes go
+        through the engine's chunked columnar path in one wave: one
         ground-truth walk and one bulk loss draw per chunk of probes.
         """
         probe_lists = [
@@ -204,12 +186,11 @@ class AliasedPrefixDetection:
         """Run one detection round for one prefix and update state.
 
         ``bitmap`` lets batched callers inject a probe bitmap computed
-        by :meth:`_batch_bitmaps`; without it the prefix is probed
-        individually.
+        by :meth:`_batch_bitmaps`; without it the prefix is probed as a
+        wave of one.
         """
         if bitmap is None:
-            attempt = len(self._history.get(prefix, ()))
-            bitmap = self._probe_bitmap(prefix, day, attempt=attempt)
+            bitmap = self._batch_bitmaps([prefix], day)[0]
         level, verdict = self._record(prefix, day, bitmap)
         if self._metrics is not None:
             self._m_tested.labels(level=level).inc()

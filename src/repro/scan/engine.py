@@ -1,10 +1,10 @@
 """Batched, shard-parallel scan engine (the ZMap speed lesson).
 
-The per-scan hot path used to walk the ground truth two to three times
-per target: ``scan_all_protocols`` resolved the response mask, then
-``scan_udp53`` re-checked the blocklist and re-resolved region/host per
-target, and ``dns_probe`` looked up the origin AS again.  The engine
-fuses all of it into one pass:
+The engine is the only prober in the package.  A per-target,
+per-protocol prober walks the ground truth once per protocol and looks
+up region, host and origin AS again for each walk (the frozen reference
+in ``tests/scan/_scanner_reference.py`` still does).  The engine fuses
+all of it into one pass:
 
 * :meth:`SimInternet.probe_batch_arrays` answers response mask, origin
   AS and genuine-DNS behavior for a whole chunk in a single column-
@@ -68,8 +68,11 @@ _MIX_C2 = 0x94D049BB133111EB
 _TEREDO_BASE = TEREDO_PREFIX.value
 
 #: the four cheap protocols probed from one fused 64-bit loss draw, in
-#: 16-bit-slice order (must match ``ZMapScanner.scan_all_protocols``)
+#: 16-bit-slice order
 FAST_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP443)
+
+#: every protocol of the fused scan, in metric-recording order
+_SCAN_PROTOCOLS = (*FAST_PROTOCOLS, Protocol.UDP53)
 
 #: default shard size; small enough to keep worker queues busy on the
 #: default scenario, large enough that per-chunk overhead is noise
@@ -163,9 +166,11 @@ def _scan_chunk_packed(
 ) -> PackedChunkResult:
     """Fused five-protocol scan of one chunk — a pure function.
 
-    Replicates ``scan_all_protocols`` + ``scan_udp53`` bit for bit:
-    identical loss draws (same formulas, same retry-draw accounting),
-    identical burst handling, identical injection draw sequence.  The
+    Per target: blocklist, then correlated bursts (every probe lost,
+    not retryable), then the :func:`repro.scan.loss.loss_inners` draws
+    per attempt, then the GFW injection draws.  Bit for bit what one
+    single-protocol scan per protocol gives (the frozen reference
+    prober in ``tests/scan/_scanner_reference.py``).  The
     chunk covers pool positions ``base_index .. base_index +
     len(targets)``; all emitted indices are pool-global.  Only
     ``crosses_cache`` (a memo of the pure ``GfwBoundary.crosses``) is
@@ -281,7 +286,7 @@ def _scan_chunk_packed(
         zip(live_idx, live, masks, behaviors, nib0, ok0)
     ):
         # fast protocols: four probes drawn from disjoint 16-bit slices
-        # of one 64-bit hash (exactly ZMapScanner.scan_all_protocols)
+        # of one 64-bit hash
         if mask:
             if not single and threshold16 and s != 0b1111:
                 for attempt in range(1, attempts):
@@ -301,7 +306,8 @@ def _scan_chunk_packed(
                 f3_append(gidx)
 
         # UDP/53: loss is drawn for every non-burst target (the GFW can
-        # inject even when the target itself is dead) — ZMapScanner._lost
+        # inject even when the target itself is dead); the first
+        # surviving attempt keeps the probe
         if not ok:
             lost = True
             for attempt in range(1, attempts):
@@ -609,9 +615,9 @@ class ScanEngine:
     ) -> Tuple[Dict[Protocol, "ScanResult"], "Udp53Result"]:
         """Fused scan of all five hitlist protocols over one target set.
 
-        Drop-in equivalent of ``ZMapScanner.scan_all_protocols`` —
-        identical responder sets, metric totals, retry/burst accounting
-        and control-NS log, for any ``workers``/``chunk_size``.
+        Backs ``ZMapScanner.scan_all_protocols``.  Responder sets,
+        metric totals, retry/burst accounting and the control-NS log are
+        identical for any ``workers``/``chunk_size``.
 
         ``carried`` (from the incremental scheduler) folds previously
         probed responders into the merged results without probing them:
@@ -640,7 +646,7 @@ class ScanEngine:
             targets = list(targets)
         limited = plan is not None and any(
             plan.limits_protocol(protocol)
-            for protocol in (*FAST_PROTOCOLS, Protocol.UDP53)
+            for protocol in _SCAN_PROTOCOLS
         )
         chunk_size = self._chunk_size
         ranges = [
@@ -679,8 +685,8 @@ class ScanEngine:
 
         # per-AS rate limiting needs the full probed list, so it runs
         # after the merge (identical to the pre-engine per-scan ordering)
-        rate_limited: Dict[Protocol, int] = {}
-        udp_rate_limited = 0
+        # responders dropped per protocol, in _SCAN_PROTOCOLS order
+        rate_limited = [0] * len(_SCAN_PROTOCOLS)
         if limited and scannable is not None:
             internet = scanner._internet
 
@@ -692,20 +698,25 @@ class ScanEngine:
                     suppressed = plan.suppressed_responders(
                         scannable, protocol, day, origin
                     )
-                    rate_limited[protocol] = len(fast_sets[index] & suppressed)
+                    rate_limited[index] = len(fast_sets[index] & suppressed)
                     fast_sets[index] -= suppressed
             if plan.limits_protocol(Protocol.UDP53):
                 for address in plan.suppressed_responders(
                     scannable, Protocol.UDP53, day, origin
                 ):
                     if address in udp53.responders:
-                        udp_rate_limited += 1
+                        rate_limited[-1] += 1
                     udp53.responders.discard(address)
                     table.drop(address)
 
-        self._flush_metrics(
-            count, burst_targets, fast_draws + udp_draws, fast_sets,
-            udp53, rate_limited, udp_rate_limited, len(ranges),
+        if self._m_chunks is not None:
+            self._m_chunks.inc(len(ranges))
+            self._m_fused_targets.inc(count)
+        _record_probes(
+            scanner, _SCAN_PROTOCOLS, count, burst_targets,
+            fast_draws + udp_draws,
+            [len(found) for found in fast_sets] + [len(udp53.responders)],
+            rate_limited,
         )
         if carried is not None and carried.targets:
             count += carried.targets
@@ -819,46 +830,35 @@ class ScanEngine:
             self._m_ipc_bytes.inc(ipc_bytes)
         return results
 
-    def _flush_metrics(
-        self,
-        count: int,
-        burst_targets: int,
-        retry_draws: int,
-        fast_sets: List[set],
-        udp53: "Udp53Result",
-        rate_limited: Dict[Protocol, int],
-        udp_rate_limited: int,
-        chunk_count: int,
-    ) -> None:
-        """Identical counter totals to the pre-engine two-stage flush."""
-        scanner = self._scanner
-        scanner.probes_sent += 5 * count
-        if self._m_chunks is not None:
-            self._m_chunks.inc(chunk_count)
-            self._m_fused_targets.inc(count)
-        if scanner._metrics is None:
-            return
-        if retry_draws:
-            scanner._m_retries.inc(retry_draws)
-        if burst_targets:
-            # four fast probes plus the UDP/53 probe per burst target
-            scanner._m_burst.inc(5 * burst_targets)
-        for index, protocol in enumerate(FAST_PROTOCOLS):
-            scanner._m_probes.labels(protocol=protocol.label).inc(count)
-            scanner._m_hits.labels(protocol=protocol.label).inc(
-                len(fast_sets[index])
-            )
-            if rate_limited.get(protocol):
-                scanner._m_rate_limited.labels(protocol=protocol.label).inc(
-                    rate_limited[protocol]
-                )
-        udp_label = Protocol.UDP53.label
-        scanner._m_probes.labels(protocol=udp_label).inc(count)
-        scanner._m_hits.labels(protocol=udp_label).inc(len(udp53.responders))
-        if udp_rate_limited:
-            scanner._m_rate_limited.labels(protocol=udp_label).inc(
-                udp_rate_limited
-            )
+
+def _record_probes(
+    scanner: "ZMapScanner",
+    protocols: Sequence[Protocol],
+    count: int,
+    burst_targets: int,
+    retry_draws: int,
+    hits: Sequence[int],
+    rate_limited: Sequence[int],
+) -> None:
+    """Record one scan's (or APD wave's) probes into the scanner's metrics.
+
+    Each of ``count`` scannable targets got one probe per protocol; a
+    burst target lost all of them.  ``hits`` and ``rate_limited`` run
+    parallel to ``protocols``.
+    """
+    scanner.probes_sent += len(protocols) * count
+    if scanner._metrics is None:
+        return
+    if retry_draws:
+        scanner._m_retries.inc(retry_draws)
+    if burst_targets:
+        scanner._m_burst.inc(len(protocols) * burst_targets)
+    for protocol, hit_count, limited in zip(protocols, hits, rate_limited):
+        label = protocol.label
+        scanner._m_probes.labels(protocol=label).inc(count)
+        scanner._m_hits.labels(protocol=label).inc(hit_count)
+        if limited:
+            scanner._m_rate_limited.labels(protocol=label).inc(limited)
 
 
 def apd_wave_bitmaps(
@@ -869,10 +869,10 @@ def apd_wave_bitmaps(
     """ICMP + TCP/80 answer bitmaps for a wave of APD probe lists.
 
     Bit ``i`` of entry ``p`` is set when probe ``i`` of ``probe_lists[p]``
-    answered ICMP or TCP/80.  Each entry is exactly what two
-    ``ZMapScanner.scan`` calls over that list report — same loss draws,
-    retry-draw accounting, burst counting, per-list rate limiting,
-    ``probes_sent`` and metric totals — but lists are probed in groups
+    answered ICMP or TCP/80.  Each entry is what an ICMP and a TCP/80
+    scan of that list alone report — same loss draws, retry-draw
+    accounting, burst counting, per-list rate limiting, ``probes_sent``
+    and metric totals — but lists are probed in groups
     of at most :data:`DEFAULT_CHUNK_SIZE` probes: one mask-only
     ground-truth walk and one bulk loss draw per (protocol, attempt)
     per group.  Metrics flush once per wave.
@@ -881,7 +881,7 @@ def apd_wave_bitmaps(
         return []
     plan = scanner._fault_plan
     if plan is not None and plan.vantage_down(day):
-        # scan() returns empty results without touching metrics
+        # an outage sends no probe and records no metric
         return [0] * len(probe_lists)
     wave = _ApdWave(scanner, day)
     bitmaps: List[int] = []
@@ -894,12 +894,16 @@ def apd_wave_bitmaps(
         group.append(probes)
         size += len(probes)
     bitmaps.extend(wave.probe(group))
-    wave.flush()
+    _record_probes(
+        scanner, _APD_PROTOCOLS, wave.count, wave.burst, wave.retry_draws,
+        wave.hits, wave.rate_limited,
+    )
     return bitmaps
 
 
 class _ApdWave:
-    """Per-(scanner, day) state of one :func:`apd_wave_bitmaps` call."""
+    """Per-(scanner, day) state and probe totals of one
+    :func:`apd_wave_bitmaps` call."""
 
     def __init__(self, scanner: "ZMapScanner", day: int) -> None:
         self.scanner = scanner
@@ -1005,10 +1009,10 @@ class _ApdWave:
     ) -> int:
         """Loss survivors of one protocol, one 0/1 byte per probe.
 
-        Mirrors ``ZMapScanner._lost``: a probe survives when any attempt
-        draws at or above the threshold, and adds the index of its first
-        surviving attempt (``attempts - 1`` when all are lost) to the
-        retry draws — counted only for probes that went on the wire.
+        A probe survives when any attempt draws at or above the
+        threshold, and adds the index of its first surviving attempt
+        (``attempts - 1`` when all are lost) to the retry draws —
+        counted only for probes that went on the wire.
         """
         threshold = self.loss_threshold
         first = survive64(bulk_mix64_xor(packed, inners[0], kit), threshold, kit)
@@ -1037,7 +1041,7 @@ class _ApdWave:
     def _rate_limit(
         self, group: List[Sequence[int]], n: int, icmp_hits: int, tcp_hits: int
     ) -> Tuple[int, int]:
-        """Drop rate-limited responders, list by list (as ``scan`` does)."""
+        """Drop rate-limited responders, list by list (each list is one scan)."""
         scanner = self.scanner
         internet = scanner._internet
         day = self.day
@@ -1069,23 +1073,3 @@ class _ApdWave:
             int.from_bytes(hit_bytes[0], "little"),
             int.from_bytes(hit_bytes[1], "little"),
         )
-
-    def flush(self) -> None:
-        """Record the wave's totals, as the per-list scans would have."""
-        scanner = self.scanner
-        scanner.probes_sent += 2 * self.count
-        if scanner._metrics is None:
-            return
-        if self.retry_draws:
-            scanner._m_retries.inc(self.retry_draws)
-        if self.burst:
-            # each burst swallows both the ICMP and the TCP/80 probe
-            scanner._m_burst.inc(2 * self.burst)
-        for index, protocol in enumerate(_APD_PROTOCOLS):
-            label = protocol.label
-            scanner._m_probes.labels(protocol=label).inc(self.count)
-            scanner._m_hits.labels(protocol=label).inc(self.hits[index])
-            if self.rate_limited[index]:
-                scanner._m_rate_limited.labels(protocol=label).inc(
-                    self.rate_limited[index]
-                )

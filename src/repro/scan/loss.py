@@ -7,9 +7,9 @@ k).  The four cheap protocols share one 64-bit draw under
 :data:`FAST_SALT` (one 16-bit slice each); every other protocol draws
 under its own ``int(Protocol)`` salt.
 
-The scalar scanner, the scan engine's bulk draws, the APD wave pass and
-the incremental scheduler's loss replay all take their inner constants
-from :func:`loss_inners`, so they cannot drift apart.
+The scan engine's bulk draws, the APD wave pass and the incremental
+scheduler's loss replay all take their inner constants from
+:func:`loss_inners`, so they cannot drift apart.
 """
 
 from __future__ import annotations

@@ -18,10 +18,11 @@ payload slot of those answers in the table's payload array (one slot per
 A-record answer, two — ``lo, hi`` — per Teredo AAAA answer).
 
 The table is a read-only ``Mapping[int, Tuple[DnsResponse, ...]]``:
-``table[responder]`` builds exactly the responses the scalar
-``ZMapScanner.scan_udp53`` returns, and ``==`` against a plain dict
-compares those.  The GFW filter reads rows through :meth:`observed`
-without building any object.
+``table[responder]`` builds exactly the responses
+``SimInternet.dns_probe`` returns for that responder (forgeries first,
+then the genuine response), and ``==`` against a plain dict compares
+those.  The GFW filter reads rows through :meth:`observed` without
+building any object.
 """
 
 from __future__ import annotations

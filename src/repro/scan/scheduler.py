@@ -243,8 +243,8 @@ class IncrementalScheduler:
         self.refresh_interval = refresh_interval
         self.sample_rate = sample_rate
         self._sample_threshold = int(sample_rate * _UINT64_SPAN)
-        # the scanner's loss-draw parameters, mirrored exactly (see
-        # ZMapScanner._lost and the engine's fused fast-probe draw)
+        # the scanner's loss-draw parameters, mirrored exactly (see the
+        # engine's fused fast-probe and UDP/53 draws)
         self._threshold16 = int(loss_rate * 65536.0)
         self._threshold64 = int(loss_rate * _UINT64_SPAN)
         self._attempts = retry_attempts

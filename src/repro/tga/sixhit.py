@@ -5,8 +5,8 @@ space is partitioned into regions, a probing budget is allocated across
 regions, and each round's scan feedback (hits per region) re-weights the
 next round's allocation.  That loop is reproduced here directly:
 :meth:`iterate` takes a ``probe_fn`` (e.g. a closure over
-:class:`~repro.scan.zmap.ZMapScanner`) and reallocates budget towards
-rewarding regions.
+:meth:`~repro.scan.zmap.ZMapScanner.scan_all_protocols` that keeps the
+ICMP responders) and reallocates budget towards rewarding regions.
 
 Without feedback (the plain :meth:`generate` contract) the allocator
 degenerates to a single uniform round — useful as a baseline, but the

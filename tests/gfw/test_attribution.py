@@ -2,52 +2,38 @@
 
 from repro.gfw.filter import GfwFilter
 from repro.net.teredo import encode_teredo
-from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
-from repro.scan.zmap import Udp53Result
+from tests.gfw._tables import NOERROR, NONE, scan_result
 
 FACEBOOK_IPV4 = 0x1F0D5801  # inside 31.13.88.0/21
 MICROSOFT_IPV4 = 0x0D6B4001  # inside 13.107.64.0/18
 
 
-def udp53_with(target, answers):
-    result = Udp53Result(day=1, qname="www.google.com")
-    result.targets = 1
-    result.responders.add(target)
-    result.responses[target] = tuple(
-        DnsResponse(responder=target, qname="www.google.com",
-                    status=DnsStatus.NOERROR, answers=(answer,))
-        for answer in answers
-    )
-    return result
+def udp53_with(day, target, forged, teredo=False):
+    """One responder whose only responses are the ``forged`` answers."""
+    return scan_result(day, {target: (forged, NONE)}, teredo=teredo)
 
 
 class TestAttribution:
     def test_a_record_owner_attributed(self):
         f = GfwFilter()
-        f.clean_scan(udp53_with(1, [DnsAnswer(rtype=RecordType.A,
-                                              address=FACEBOOK_IPV4)]))
+        f.clean_scan(udp53_with(1, 1, [FACEBOOK_IPV4]))
         assert f.forged_answer_owners == {32934: 1}
 
     def test_teredo_embedded_owner_attributed(self):
         f = GfwFilter()
-        teredo = DnsAnswer(
-            rtype=RecordType.AAAA,
-            address=encode_teredo(0x41EA9E00, MICROSOFT_IPV4, 1234),
-        )
-        f.clean_scan(udp53_with(1, [teredo]))
+        teredo = encode_teredo(0x41EA9E00, MICROSOFT_IPV4, 1234)
+        f.clean_scan(udp53_with(1, 1, [teredo], teredo=True))
         assert f.forged_answer_owners == {8075: 1}
 
     def test_accumulates_across_scans(self):
         f = GfwFilter()
-        fb = DnsAnswer(rtype=RecordType.A, address=FACEBOOK_IPV4)
-        f.clean_scan(udp53_with(1, [fb, fb]))
-        f.clean_scan(udp53_with(2, [fb]))
+        f.clean_scan(udp53_with(1, 1, [FACEBOOK_IPV4, FACEBOOK_IPV4]))
+        f.clean_scan(udp53_with(2, 1, [FACEBOOK_IPV4]))
         assert f.forged_answer_owners[32934] == 3
 
     def test_genuine_answers_not_attributed(self):
         f = GfwFilter()
-        genuine = DnsAnswer(rtype=RecordType.AAAA, address=42 << 64)
-        f.clean_scan(udp53_with(1, [genuine]))
+        f.clean_scan(scan_result(1, {1: ((), NOERROR)}))
         assert f.forged_answer_owners == {}
 
     def test_end_to_end_attribution(self, small_world):
@@ -60,7 +46,7 @@ class TestAttribution:
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         targets = [prefix.value | (0xD000 + i) for i in range(50)]
         scanner = ZMapScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53(targets, day, "www.google.com")
+        _results, result = scanner.scan_all_protocols(targets, day, "www.google.com")
         f = GfwFilter()
         f.clean_scan(result)
         owners = set(f.forged_answer_owners)

@@ -8,11 +8,10 @@ from repro.gfw.detector import (
     Ipv4Whois,
     answer_evidence,
     classify_response,
-    classify_target,
-    is_injected_target,
 )
 from repro.net.teredo import encode_teredo
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
+from tests.gfw._cleaning_reference import classify_target, is_injected_target
 
 
 def response(*answers, status=DnsStatus.NOERROR, responder=1):

@@ -6,50 +6,40 @@ from repro.gfw.filter import GfwFilter
 from repro.gfw.impact import impact_report
 from repro.net.prefix import parse_prefix
 from repro.net.teredo import encode_teredo
-from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
-from repro.scan.zmap import Udp53Result
+from tests.gfw._tables import NOERROR, NONE, scan_result
 
-TEREDO = DnsAnswer(rtype=RecordType.AAAA, address=encode_teredo(1, 0x1F0D5801, 1))
-GENUINE = DnsAnswer(rtype=RecordType.AAAA, address=42 << 64)
+TEREDO = encode_teredo(1, 0x1F0D5801, 1)
 
 
-def udp53(day, mapping):
-    result = Udp53Result(day=day, qname="www.google.com")
-    for target, answers in mapping.items():
-        result.targets += 1
-        result.responders.add(target)
-        result.responses[target] = tuple(
-            DnsResponse(responder=target, qname="www.google.com",
-                        status=DnsStatus.NOERROR, answers=(answer,))
-            for answer in answers
-        )
-    return result
+def udp53(day, rows):
+    """A Teredo-era scan: ``rows`` maps responder -> (forged, variant)."""
+    return scan_result(day, rows, teredo=True)
 
 
 class TestGfwFilter:
     def test_clean_scan_splits(self):
         f = GfwFilter()
-        cleaning = f.clean_scan(udp53(1, {10: [TEREDO, TEREDO], 20: [GENUINE]}))
+        cleaning = f.clean_scan(udp53(1, {10: ((TEREDO, TEREDO), NONE), 20: ((), NOERROR)}))
         assert cleaning.injected_responders == {10}
         assert cleaning.clean_responders == {20}
         assert f.ever_injected == {10}
 
     def test_historical_filter_excludes_other_protocol_responders(self):
         f = GfwFilter()
-        f.clean_scan(udp53(1, {10: [TEREDO], 11: [TEREDO]}))
+        f.clean_scan(udp53(1, {10: ((TEREDO,), NONE), 11: ((TEREDO,), NONE)}))
         f.note_other_protocol_responders({11})
         assert f.historical_filter_set() == {10}
 
     def test_accumulates_across_scans(self):
         f = GfwFilter()
-        f.clean_scan(udp53(1, {10: [TEREDO]}))
-        f.clean_scan(udp53(2, {12: [TEREDO]}))
+        f.clean_scan(udp53(1, {10: ((TEREDO,), NONE)}))
+        f.clean_scan(udp53(2, {12: ((TEREDO,), NONE)}))
         assert f.ever_injected == {10, 12}
         assert f.impacted_count == 2
 
     def test_evidence_counts(self):
         f = GfwFilter()
-        cleaning = f.clean_scan(udp53(1, {10: [TEREDO, TEREDO]}))
+        cleaning = f.clean_scan(udp53(1, {10: ((TEREDO, TEREDO), NONE)}))
         assert sum(cleaning.evidence_counts.values()) >= 2
 
 

@@ -1,11 +1,15 @@
 """Packed vs plain GFW cleaning: the response table is an exact stand-in.
 
-The scan engine hands the GFW filter a packed ``ResponseTable``; the
-scalar scanner and hand-built results hand it plain dicts.  Every test
-cleans one scan both ways, with two fresh filters, and demands identical
-verdicts, evidence, owner attribution and deterministic metrics.  The
-contract test at the end pins the point of the table: a forged-answer
-scan plus its cleaning builds no response object at all.
+The scan engine hands the GFW filter a packed ``ResponseTable``.  Every
+test cleans one scan both ways, with two fresh filters: the table
+through ``GfwFilter.clean_scan``, and its plain-dict copy through the
+frozen per-response reference (``tests/gfw/_cleaning_reference.py``).
+Both must give identical verdicts, evidence, owner attribution and
+deterministic metrics.  Where the scalar reference prober
+(``tests/scan/_scanner_reference.py``) scans the same targets, its
+responses must equal the table's.  The contract test at the end pins
+the point of the table: a forged-answer scan plus its cleaning builds
+no response object at all.
 """
 
 import dataclasses
@@ -25,6 +29,8 @@ from repro.simnet import build_internet, small_config
 from repro.simnet.gfwsim import InjectionMode
 from repro.simnet.hosts import DnsBehavior
 from repro.vantage import VantageFleet, default_vantage_specs
+from tests.gfw._cleaning_reference import clean_mapping
+from tests.scan._scanner_reference import ReferenceScanner
 
 QNAME = "www.google.com"
 CHUNK_SIZE = 512
@@ -60,10 +66,15 @@ def _scan(world, targets, day, qname=QNAME, **engine_kwargs):
         engine.close()
 
 
-def _clean(udp53):
+def _clean(udp53, responses_of=None):
+    """Clean ``udp53``'s table, or the plain dict ``responses_of`` through
+    the reference, with a fresh filter."""
     registry = MetricsRegistry()
     gfw = GfwFilter(metrics=registry)
-    cleaning = gfw.clean_scan(udp53)
+    if responses_of is None:
+        cleaning = gfw.clean_scan(udp53)
+    else:
+        cleaning = clean_mapping(gfw, udp53, responses_of)
     return {
         "clean_responders": cleaning.clean_responders,
         "injected_responders": cleaning.injected_responders,
@@ -78,9 +89,7 @@ def assert_same_cleaning(udp53):
     """Clean the packed table and its plain-dict copy; return the view."""
     assert isinstance(udp53.responses, ResponseTable)
     packed = _clean(udp53)
-    plain = _clean(
-        dataclasses.replace(udp53, responses=dict(udp53.responses.items()))
-    )
+    plain = _clean(udp53, dict(udp53.responses.items()))
     assert packed == plain
     return packed
 
@@ -153,7 +162,7 @@ def test_control_qname_with_proxy_resolvers(config, targets):
     udp53 = _scan(world, scan_targets, day, qname)
     engine_log = list(world.control_ns_log)
     del world.control_ns_log[:]
-    scalar = ZMapScanner(world, seed=1).scan_udp53(scan_targets, day, qname)
+    scalar = ReferenceScanner(world, seed=1).scan_udp53(scan_targets, day, qname)
     assert engine_log == world.control_ns_log
     assert any(entry.source not in udp53.responders for entry in engine_log)
     assert udp53.responses == scalar.responses
@@ -178,7 +187,7 @@ def test_rate_limited_rows_dropped(world, targets):
     udp53 = engine.scan_all_protocols(targets, day, QNAME)[1]
     assert len(udp53.responders) < len(unlimited.responders)
     assert set(udp53.responses) == udp53.responders
-    scalar = ZMapScanner(world, seed=1, fault_plan=plan).scan_udp53(
+    scalar = ReferenceScanner(world, seed=1, fault_plan=plan).scan_udp53(
         targets, day, QNAME
     )
     assert udp53.responses == scalar.responses
@@ -216,6 +225,16 @@ def test_scan_workers_invisible(world, targets):
     assert sharded.responders == inline.responders
     assert sharded.responses == inline.responses
     assert assert_same_cleaning(sharded) == assert_same_cleaning(inline)
+
+
+def test_plain_mapping_rejected():
+    """Only a scan's response table cleans; a default result is one."""
+    gfw = GfwFilter()
+    with pytest.raises(TypeError, match="ResponseTable"):
+        gfw.clean_scan(Udp53Result(day=1, qname=QNAME, responses={}))
+    carried = gfw.clean_scan(Udp53Result(day=1, qname=QNAME, responders={1, 2}))
+    assert carried.clean_responders == {1, 2}
+    assert not carried.injected_responders and not gfw.ever_injected
 
 
 def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):

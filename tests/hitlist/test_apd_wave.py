@@ -1,11 +1,12 @@
 """Differential oracle: the APD wave pass against per-prefix scans.
 
 ``AliasedPrefixDetection._batch_bitmaps`` probes a whole wave of
-candidates through the engine's chunked columnar path;
-``_probe_bitmap`` runs two plain ``ZMapScanner.scan`` calls per prefix.
-Two fresh detectors on one world must agree on every bitmap, on
-``probes_sent`` and on the deterministic metric state, whatever the
-loss, retry, blocklist and fault setup.
+candidates through the engine's chunked columnar path; the frozen
+reference ``probe_bitmap`` (``tests/scan/_scanner_reference.py``) runs
+two plain single-protocol scans per prefix.  Two fresh detectors on one
+world must agree on every bitmap, on ``probes_sent`` and on the
+deterministic metric state, whatever the loss, retry, blocklist and
+fault setup.
 """
 
 from typing import List, Optional
@@ -29,6 +30,7 @@ from repro.runtime.faults import (
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import DEFAULT_CHUNK_SIZE
 from repro.scan.zmap import ZMapScanner
+from tests.scan._scanner_reference import ReferenceScanner, probe_bitmap
 
 DAY = 7
 
@@ -53,9 +55,9 @@ def wave(small_world) -> List[IPv6Prefix]:
     return unique
 
 
-def _detector(world, blocklist=None, **scanner_args):
+def _detector(world, blocklist=None, scanner_class=ZMapScanner, **scanner_args):
     metrics = MetricsRegistry()
-    scanner = ZMapScanner(
+    scanner = scanner_class(
         world, blocklist=blocklist, metrics=metrics, **scanner_args
     )
     return AliasedPrefixDetection(scanner, metrics=metrics), scanner, metrics
@@ -67,10 +69,10 @@ def _compare(world, prefixes, day=DAY, blocklist=None, **scanner_args):
         world, blocklist, **scanner_args
     )
     scalar, scalar_scanner, scalar_metrics = _detector(
-        world, blocklist, **scanner_args
+        world, blocklist, ReferenceScanner, **scanner_args
     )
     got = batched._batch_bitmaps(prefixes, day)
-    want = [scalar._probe_bitmap(prefix, day, attempt=0) for prefix in prefixes]
+    want = [probe_bitmap(scalar, prefix, day, attempt=0) for prefix in prefixes]
     assert got == want
     assert batched_scanner.probes_sent == scalar_scanner.probes_sent
     assert batched_metrics.state_dict() == scalar_metrics.state_dict()
@@ -228,3 +230,27 @@ def test_wave_metrics_match_per_prefix_rounds(small_world, wave):
         assert batched_metrics.state_dict() == single_metrics.state_dict()
     verdicts = single_metrics.get("repro_apd_alias_verdicts_total")
     assert {labels[0] for labels, _ in verdicts.series_items()} == {"aliased", "delisted"}
+
+
+def test_standalone_test_prefix(small_world, wave):
+    """``test_prefix`` without a bitmap probes a wave of one: verdicts,
+    ``probes_sent`` and metric state match the reference round, over
+    repeated rounds (same-day repeats included, as in bootstrap)."""
+    prefixes = wave[::7]
+    batched, batched_scanner, batched_metrics = _detector(
+        small_world, loss_rate=0.03, seed=5
+    )
+    scalar, scalar_scanner, scalar_metrics = _detector(
+        small_world, scanner_class=ReferenceScanner, loss_rate=0.03, seed=5
+    )
+    for day in (DAY, DAY, DAY + 30, DAY + 31):
+        for prefix in prefixes:
+            attempt = len(scalar._history.get(prefix, ()))
+            want = scalar.test_prefix(
+                prefix, day, bitmap=probe_bitmap(scalar, prefix, day, attempt)
+            )
+            assert batched.test_prefix(prefix, day) == want
+        assert batched._history == scalar._history
+        assert batched_scanner.probes_sent == scalar_scanner.probes_sent
+        assert batched_metrics.state_dict() == scalar_metrics.state_dict()
+    assert batched.aliased_count > 0

@@ -15,6 +15,10 @@ from repro.scan.blocklist import Blocklist
 from repro.scan.zmap import ZMapScanner
 
 
+def _icmp(scanner, targets, day):
+    return scanner.scan_all_protocols(targets, day, "www.google.com")[0][Protocol.ICMP]
+
+
 def test_published_prefixes_block_scans(small_world, short_history):
     # 1. the service publishes its aliased prefixes
     out = io.StringIO()
@@ -36,7 +40,7 @@ def test_published_prefixes_block_scans(small_world, short_history):
     # addresses inside any published prefix are never probed …
     inside = [alias.prefix.value | 1 for alias in
               short_history.final.aliased_prefixes[:20]]
-    result = scanner.scan(inside, Protocol.ICMP, 100)
+    result = _icmp(scanner, inside, 100)
     assert result.targets == 0
     assert not result.responders
 
@@ -44,5 +48,5 @@ def test_published_prefixes_block_scans(small_world, short_history):
     sample = list(short_history.final.cleaned_any())[:50]
     scannable = [a for a in sample if not blocklist.is_blocked(a)]
     assert scannable, "responsive addresses live outside aliased space"
-    result = scanner.scan(scannable, Protocol.ICMP, short_history.final.day)
+    result = _icmp(scanner, scannable, short_history.final.day)
     assert result.targets == len(scannable)

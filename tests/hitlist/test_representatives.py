@@ -41,8 +41,10 @@ class TestRepresentatives:
         # though their prefixes are excluded from the regular scan
         chosen = alias_representatives(apd_with_aliases)
         scanner = ZMapScanner(small_world, loss_rate=0.0)
-        result = scanner.scan(list(chosen.values()), Protocol.ICMP, 0)
-        assert len(result.responders) > len(chosen) * 0.5
+        results, _udp53 = scanner.scan_all_protocols(
+            list(chosen.values()), 0, "www.google.com"
+        )
+        assert len(results[Protocol.ICMP].responders) > len(chosen) * 0.5
 
     def test_unknown_addresses_ignored(self, apd_with_aliases):
         chosen = alias_representatives(

@@ -133,7 +133,7 @@ def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
     targets = list(service._scan_pool)
     scanner = service.scanner
 
-    calls = {"probe_batch": 0, "scan_udp53": 0}
+    calls = {"probe_batch": 0}
     original = scanner._internet.probe_batch_arrays
 
     def counting_probe_batch(*args, **kwargs):
@@ -144,8 +144,8 @@ def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
         scanner._internet, "probe_batch_arrays", counting_probe_batch
     )
     monkeypatch.setattr(
-        scanner, "scan_udp53",
-        lambda *a, **k: pytest.fail("engine must not re-walk via scan_udp53"),
+        scanner._internet, "dns_probe",
+        lambda *a, **k: pytest.fail("engine must not re-walk via dns_probe"),
     )
     engine = ScanEngine(scanner, workers=1, chunk_size=CHUNK_SIZE)
     results, udp = engine.scan_all_protocols(targets, 0, "www.google.com")

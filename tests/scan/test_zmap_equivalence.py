@@ -1,21 +1,30 @@
-"""Equivalence tests: the fused 4-protocol scan vs. individual scans."""
+"""Equivalence tests: the fused 5-protocol scan vs. individual scans.
+
+The individual scans come from the frozen scalar reference prober
+(``tests/scan/_scanner_reference.py``).
+"""
 
 import pytest
 
 from repro.protocols import Protocol
 from repro.scan.zmap import ZMapScanner
+from tests.scan._scanner_reference import ReferenceScanner
 
 
 class TestScanAllProtocolsEquivalence:
     def test_lossless_equivalence(self, small_world):
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = ReferenceScanner(small_world, loss_rate=0.0)
         targets = list(small_world.hosts)[:400]
-        fused, _udp53 = scanner.scan_all_protocols(targets, 33, "www.google.com")
+        fused, udp53 = scanner.scan_all_protocols(targets, 33, "www.google.com")
         for protocol in (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443,
                          Protocol.UDP443):
             single = scanner.scan(targets, protocol, 33)
             assert fused[protocol].responders == single.responders, protocol
             assert fused[protocol].targets == single.targets
+        single = scanner.scan_udp53(targets, 33, "www.google.com")
+        assert udp53.responders == single.responders
+        assert udp53.responses == single.responses
+        assert udp53.targets == single.targets
 
     def test_lossy_deterministic(self, small_world):
         scanner = ZMapScanner(small_world, loss_rate=0.10, seed=9)

@@ -1,4 +1,8 @@
-"""Tests for the ZMap scanner and Yarrp tracer."""
+"""Tests for the ZMap scanner and Yarrp tracer.
+
+Scans go through ``ZMapScanner.scan_all_protocols`` (the scan engine);
+``_icmp`` and ``_udp53`` pick one protocol's result out of it.
+"""
 
 import pytest
 
@@ -9,9 +13,20 @@ from repro.scan.yarrp import YarrpTracer
 from repro.scan.zmap import ZMapScanner
 
 
+QNAME = "www.google.com"
+
+
 @pytest.fixture
 def lossless(small_world):
     return ZMapScanner(small_world, loss_rate=0.0)
+
+
+def _icmp(scanner, targets, day):
+    return scanner.scan_all_protocols(targets, day, QNAME)[0][Protocol.ICMP]
+
+
+def _udp53(scanner, targets, day):
+    return scanner.scan_all_protocols(targets, day, QNAME)[1]
 
 
 def _up_hosts(world, protocol, day, limit=200):
@@ -25,7 +40,7 @@ def _up_hosts(world, protocol, day, limit=200):
 class TestZMapScan:
     def test_lossless_scan_matches_oracle(self, small_world, lossless):
         targets = list(small_world.hosts)[:300]
-        result = lossless.scan(targets, Protocol.ICMP, 10)
+        result = _icmp(lossless, targets, 10)
         expected = small_world.batch_responsive(targets, Protocol.ICMP, 10)
         assert set(result.responders) == expected
         assert result.targets == 300
@@ -33,14 +48,14 @@ class TestZMapScan:
     def test_loss_reduces_responders(self, small_world):
         targets = _up_hosts(small_world, Protocol.ICMP, 10, limit=1000)
         lossy = ZMapScanner(small_world, loss_rate=0.5, seed=1)
-        result = lossy.scan(targets, Protocol.ICMP, 10)
+        result = _icmp(lossy, targets, 10)
         assert 0 < len(result.responders) < len(targets)
 
     def test_loss_is_deterministic_per_day(self, small_world):
         targets = list(small_world.hosts)[:500]
         scanner = ZMapScanner(small_world, loss_rate=0.2, seed=5)
-        a = scanner.scan(targets, Protocol.ICMP, 10)
-        b = scanner.scan(targets, Protocol.ICMP, 10)
+        a = _icmp(scanner, targets, 10)
+        b = _icmp(scanner, targets, 10)
         assert a.responders == b.responders
 
     def test_loss_differs_between_days(self, small_world):
@@ -52,8 +67,8 @@ class TestZMapScan:
         if len(stable) < 30:
             pytest.skip("not enough always-up hosts")
         scanner = ZMapScanner(small_world, loss_rate=0.3, seed=5)
-        a = scanner.scan(stable, Protocol.ICMP, 10)
-        b = scanner.scan(stable, Protocol.ICMP, 11)
+        a = _icmp(scanner, stable, 10)
+        b = _icmp(scanner, stable, 11)
         assert a.responders != b.responders
 
     def test_blocklist_respected(self, small_world):
@@ -61,14 +76,14 @@ class TestZMapScan:
         blocklist = Blocklist()
         blocklist.add(IPv6Prefix(target, 128))
         scanner = ZMapScanner(small_world, blocklist=blocklist, loss_rate=0.0)
-        result = scanner.scan([target], Protocol.ICMP, 0)
+        result = _icmp(scanner, [target], 0)
         assert result.targets == 0
         assert not result.responders
 
     def test_hit_rate(self, small_world, lossless):
-        result = lossless.scan([0x3FFF << 112], Protocol.ICMP, 0)
+        result = _icmp(lossless, [0x3FFF << 112], 0)
         assert result.hit_rate == 0.0
-        empty = lossless.scan([], Protocol.ICMP, 0)
+        empty = _icmp(lossless, [], 0)
         assert empty.hit_rate == 0.0
 
     def test_invalid_loss_rate(self, small_world):
@@ -77,8 +92,9 @@ class TestZMapScan:
 
     def test_probe_accounting(self, small_world, lossless):
         before = lossless.probes_sent
-        lossless.scan(list(small_world.hosts)[:100], Protocol.ICMP, 0)
-        assert lossless.probes_sent == before + 100
+        _icmp(lossless, list(small_world.hosts)[:100], 0)
+        # one probe per protocol and target
+        assert lossless.probes_sent == before + 5 * 100
 
 
 class TestUdp53Scan:
@@ -89,7 +105,7 @@ class TestUdp53Scan:
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         dead_target = prefix.value | 0xDEADBEEF
         scanner = ZMapScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53([dead_target], day, "www.google.com")
+        result = _udp53(scanner, [dead_target], day)
         assert dead_target in result.responders
         assert all(r.injected for r in result.responses[dead_target])
 
@@ -100,7 +116,7 @@ class TestUdp53Scan:
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         dead_target = prefix.value | 0xDEADBEEF
         scanner = ZMapScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53([dead_target], day, "www.google.com")
+        result = _udp53(scanner, [dead_target], day)
         assert dead_target not in result.responders
 
     def test_real_dns_server_responds(self, small_world):
@@ -108,13 +124,13 @@ class TestUdp53Scan:
         if not dns_hosts:
             pytest.skip("no DNS hosts up in this tiny world")
         scanner = ZMapScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53(dns_hosts, 10, "www.google.com")
+        result = _udp53(scanner, dns_hosts, 10)
         assert set(result.responders) == set(dns_hosts)
 
     def test_scan_all_protocols(self, small_world):
         scanner = ZMapScanner(small_world, loss_rate=0.0)
         targets = list(small_world.hosts)[:100]
-        results, udp53 = scanner.scan_all_protocols(targets, 10, "www.google.com")
+        results, udp53 = scanner.scan_all_protocols(targets, 10, QNAME)
         assert set(results) == {
             Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP443
         }
@@ -157,12 +173,12 @@ class TestUdp53HitRate:
         if not dns_hosts:
             pytest.skip("no DNS hosts up in this tiny world")
         dead = [0x3FFF << 112, (0x3FFF << 112) | 1]
-        result = scanner.scan_udp53(dns_hosts + dead, 10, "www.google.com")
+        result = _udp53(scanner, dns_hosts + dead, 10)
         assert result.hit_rate == len(result.responders) / result.targets
         assert 0.0 < result.hit_rate < 1.0
 
     def test_hit_rate_empty_scan(self, small_world):
         scanner = ZMapScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53([], 10, "www.google.com")
+        result = _udp53(scanner, [], 10)
         assert result.targets == 0
         assert result.hit_rate == 0.0

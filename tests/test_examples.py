@@ -14,12 +14,10 @@ import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
-FAST = ["quickstart.py"]
+FAST = ["quickstart.py", "gfw_cleaning.py", "service_maintenance.py"]
 SLOW = [
-    "gfw_cleaning.py",
     "aliased_prefix_study.py",
     "target_generation.py",
-    "service_maintenance.py",
 ]
 
 

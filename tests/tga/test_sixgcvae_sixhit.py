@@ -93,7 +93,10 @@ class TestSixHitFeedback:
         scanner = ZMapScanner(small_world, loss_rate=0.0)
 
         def probe(candidates):
-            return set(scanner.scan(sorted(candidates), Protocol.ICMP, 60).responders)
+            results, _udp53 = scanner.scan_all_protocols(
+                sorted(candidates), 60, "www.google.com"
+            )
+            return set(results[Protocol.ICMP].responders)
 
         hit = SixHit(budget=4000, rounds=3, seed=2)
         found = hit.iterate(seeds, probe)
