@@ -66,8 +66,8 @@ def metrics_section(history: HitlistHistory) -> Optional[str]:
 def vantage_section(history: HitlistHistory) -> Optional[str]:
     """Fleet roster/quorum accounting, aggregated over the campaign.
 
-    ``None`` for single-vantage runs (no snapshot carries a fleet
-    block), keeping pre-fleet reports byte-identical.
+    ``None`` when no snapshot carries a fleet block, as for a fleet of
+    one.
     """
     blocks = [s.vantage for s in history.snapshots if s.vantage is not None]
     if not blocks:

@@ -43,7 +43,7 @@ def history_summary(history: HitlistHistory) -> Dict[str, Any]:
             "degraded": list(snapshot.degraded),
             "metrics": dict(snapshot.metrics),
             # fleet reconciliation block (roster, quorum decisions,
-            # per-vantage disagreements); absent for single-vantage runs
+            # per-vantage disagreements); absent for a fleet of one
             **(
                 {"vantage": snapshot.vantage}
                 if snapshot.vantage is not None else {}

@@ -26,7 +26,6 @@ from repro.obs.tracing import Tracer
 from repro.protocols import ALL_PROTOCOLS, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
-from repro.scan.engine import ScanEngine
 from repro.scan.scheduler import (
     DEFAULT_REFRESH_INTERVAL,
     DEFAULT_SAMPLE_RATE,
@@ -36,7 +35,7 @@ from repro.scan.yarrp import YarrpTracer
 from repro.scan.zmap import ZMapScanner
 from repro.simnet.config import DAY_2021_12_01, SNAPSHOT_DAYS, ScenarioConfig
 from repro.simnet.internet import SimInternet
-from repro.vantage import VantageFleet, default_vantage_specs, validate_policy
+from repro.vantage import VantageFleet, default_vantage_specs
 
 #: Addresses within this many days of the 30-day filter's deadline are
 #: force-probed under incremental scheduling (see _apply_30day_filter).
@@ -66,12 +65,12 @@ SCAN_METRIC_COUNTERS: Dict[str, str] = {
 class DegradedReason(str):
     """A structured degraded-scan marker that is still a plain string.
 
-    :attr:`ScanSnapshot.degraded` predates the fleet and is asserted on
-    (and serialized) as tuples of strings, so structure is carried *in*
-    the string instead of next to it.  Canonical forms:
+    :attr:`ScanSnapshot.degraded` is asserted on (and serialized) as
+    tuples of strings, so structure is carried *in* the string instead
+    of next to it.  Canonical forms:
 
     * ``vantage_outage`` — no vantage could probe; the scan stood down
-      (the pre-fleet marker, kept verbatim for compatibility);
+      (the only vantage marker a fleet of one records);
     * ``source:<name>`` — input source ``<name>`` raised and was skipped;
     * ``vantage:<vid>:outage`` — fleet member ``<vid>`` sat out a
       scheduled outage while the survivors absorbed its shard;
@@ -222,8 +221,7 @@ class ScanSnapshot:
     #: scan
     degraded: Tuple[str, ...] = ()
     #: fleet reconciliation block (roster, re-shard count, quorum
-    #: decisions, per-vantage disagreements); None for single-vantage
-    #: scans
+    #: decisions, per-vantage disagreements); None for a fleet of one
     vantage: Optional[Dict[str, object]] = None
     #: per-scan observability block: deltas of the deterministic
     #: registry counters in :data:`SCAN_METRIC_COUNTERS`
@@ -404,44 +402,32 @@ class HitlistService:
             if self.settings.retry_attempts > 1
             else None
         )
-        self.scanner = ZMapScanner(
-            internet, blocklist=self.blocklist,
-            loss_rate=self.settings.loss_rate, seed=config.seed,
-            fault_plan=fault_plan, retry=retry, metrics=self.metrics,
-        )
-        self.engine = ScanEngine(
-            self.scanner,
-            workers=self.settings.scan_workers,
-            chunk_size=self.settings.scan_chunk_size,
-            metrics=self.metrics,
-            tracer=self.spans,
-        )
-        validate_policy(self.settings.quorum)
         if self.settings.vantages < 1:
             raise ValueError(
                 f"settings.vantages must be >= 1, got {self.settings.vantages}"
             )
-        #: the multi-vantage coordinator; None keeps the pre-fleet
-        #: single-vantage probe path bit-identical
-        self.fleet: Optional[VantageFleet] = None
-        if self.settings.vantages > 1:
-            self.fleet = VantageFleet(
-                internet,
-                default_vantage_specs(
-                    internet, config.seed, self.settings.vantages
-                ),
-                seed=config.seed,
-                loss_rate=self.settings.loss_rate,
-                quorum=self.settings.quorum,
-                overlap=self.settings.vantage_overlap,
-                workers=self.settings.scan_workers,
-                chunk_size=self.settings.scan_chunk_size,
-                blocklist=self.blocklist,
-                fault_plan=fault_plan,
-                retry=retry,
-                metrics=self.metrics,
-                tracer=self.spans,
-            )
+        #: the scan fleet; with ``vantages=1`` a fleet of one, which is
+        #: the paper's single vantage (see repro.vantage.fleet)
+        self.fleet = VantageFleet(
+            internet,
+            default_vantage_specs(
+                internet, config.seed, self.settings.vantages
+            ),
+            seed=config.seed,
+            loss_rate=self.settings.loss_rate,
+            quorum=self.settings.quorum,
+            overlap=self.settings.vantage_overlap,
+            workers=self.settings.scan_workers,
+            chunk_size=self.settings.scan_chunk_size,
+            blocklist=self.blocklist,
+            fault_plan=fault_plan,
+            retry=retry,
+            metrics=self.metrics,
+            tracer=self.spans,
+        )
+        #: member 0's scanner and engine: the paper's vantage
+        self.scanner = self.fleet.scanners[0]
+        self.engine = self.fleet.engines[0]
         if self.settings.scan_mode not in ("full", "incremental"):
             raise ValueError(
                 f"settings.scan_mode must be 'full' or 'incremental', "
@@ -578,9 +564,9 @@ class HitlistService:
         Days lost to scheduled vantage outages do not count towards the
         threshold: an address cannot prove responsiveness while no probe
         leaves the vantage, and excluding it for our own downtime would
-        fabricate churn.  In fleet mode only *fleet-wide* outage days
-        count — while any member is live, orphaned shards re-home to the
-        survivors and targets can still prove responsiveness.
+        fabricate churn.  Only *fleet-wide* outage days count — while any
+        member is live, orphaned shards re-home to the survivors and
+        targets can still prove responsiveness.
 
         Returns the number of addresses dropped and, under incremental
         scheduling, the eviction watchlist collected by the same pass:
@@ -593,7 +579,7 @@ class HitlistService:
         """
         threshold = self.settings.unresponsive_days
         plan = self.fault_plan
-        fleet = self.fleet
+        vantages = self.fleet.vantage_ids
         history = self.history
         watch: Optional[Set[int]] = None
         if self.scheduler is not None:
@@ -606,12 +592,9 @@ class HitlistService:
             )
             elapsed = day - reference
             if plan is not None and elapsed > threshold:
-                if fleet is not None:
-                    elapsed -= plan.fleet_outage_days_between(
-                        reference, day, fleet.vantage_ids
-                    )
-                else:
-                    elapsed -= plan.outage_days_between(reference, day)
+                elapsed -= plan.fleet_outage_days_between(
+                    reference, day, vantages
+                )
             if elapsed > threshold:
                 to_remove.append(address)
             elif watch is not None and day - reference >= horizon:
@@ -741,27 +724,21 @@ class HitlistService:
                 self._ingest(source.name, collected, day)
                 self._source_cursor[source.name] = day
 
-        # 1b. vantage outages.  Fleet mode takes the day's roster —
-        # called exactly once per scan day, because failure counts and
-        # quarantine deadlines advance here — and degrades (rather than
-        # stands down) while any member is live: orphaned shards re-home
-        # to the survivors inside the fleet's rendezvous ranking.  Only
-        # when *nothing* can be probed do APD, the unresponsiveness
-        # filter, scans and traceroutes all stand down; collected input
-        # stays queued for the next working scan, and churn bookkeeping
+        # 1b. vantage outages.  The fleet's roster — taken exactly once
+        # per scan day, because failure counts and quarantine deadlines
+        # advance here — degrades the scan (rather than standing it
+        # down) while any member is live: orphaned shards re-home to the
+        # survivors inside the fleet's rendezvous ranking.  Only when
+        # *nothing* can be probed do APD, the unresponsiveness filter,
+        # scans and traceroutes all stand down; collected input stays
+        # queued for the next working scan, and churn bookkeeping
         # freezes (an outage is not churn).
-        plan = self.fault_plan
-        roster = None
-        if self.fleet is not None:
-            roster = self.fleet.roster(day)
-            for vid in roster.down:
-                degraded.append(DegradedReason.vantage(vid, "outage"))
-            for vid in roster.backoff:
-                degraded.append(DegradedReason.vantage(vid, "backoff"))
-            stand_down = roster.all_down
-        else:
-            stand_down = plan is not None and plan.vantage_down(day)
-        if stand_down:
+        roster = self.fleet.roster(day)
+        for vid in roster.down:
+            degraded.append(DegradedReason.vantage(vid, "outage"))
+        for vid in roster.backoff:
+            degraded.append(DegradedReason.vantage(vid, "backoff"))
+        if roster.all_down:
             degraded.append(DegradedReason.fleet_standdown())
             snapshot = ScanSnapshot(
                 day=day,
@@ -772,14 +749,7 @@ class HitlistService:
                 published_counts={protocol: 0 for protocol in ALL_PROTOCOLS},
                 cleaned_counts={protocol: 0 for protocol in ALL_PROTOCOLS},
                 degraded=tuple(degraded),
-                vantage=(
-                    {
-                        "live": [],
-                        "down": list(roster.down),
-                        "backoff": list(roster.backoff),
-                    }
-                    if roster is not None else None
-                ),
+                vantage=self.fleet.standdown_block(roster),
             )
             history.snapshots.append(snapshot)
             return snapshot
@@ -806,9 +776,9 @@ class HitlistService:
         with self.spans.span("hygiene"):
             excluded_now, must_probe = self._apply_30day_filter(day)
 
-        # 5. scans — one engine pass, or the fleet's shard/probe/
-        # reconcile cycle when multiple vantages are configured.  Under
-        # incremental scheduling the scheduler partitions the pool
+        # 5. scans — the fleet's shard/probe/reconcile cycle, which a
+        # fleet of one hands straight to its engine.  Under incremental
+        # scheduling the scheduler partitions the pool
         # fleet-globally (before sharding): only the probe set enters
         # the mmap/packed-wire path, carried responders replay during
         # the in-order merge, and absorb() folds probed outcomes back
@@ -829,16 +799,9 @@ class HitlistService:
                 carried = scheduler.carried_scan(sched_plan)
             else:
                 targets = list(self._scan_pool)
-            vantage_block = None
-            if self.fleet is not None:
-                results, udp53, fleet_report = self.fleet.scan(
-                    targets, day, settings.qname, roster, carried=carried
-                )
-                vantage_block = fleet_report.to_json()
-            else:
-                results, udp53 = self.engine.scan_all_protocols(
-                    targets, day, settings.qname, carried=carried
-                )
+            results, udp53, fleet_report = self.fleet.scan(
+                targets, day, settings.qname, roster, carried=carried
+            )
             cleaning = self.gfw_filter.clean_scan(udp53)
             if sched_plan is not None:
                 scheduler.absorb(sched_plan, results, udp53, cleaning)
@@ -959,7 +922,7 @@ class HitlistService:
             excluded_now=excluded_now,
             udp53_hit_rate=udp53.hit_rate,
             degraded=tuple(degraded),
-            vantage=vantage_block,
+            vantage=None if fleet_report is None else fleet_report.to_json(),
         )
         history.snapshots.append(snapshot)
         return snapshot
@@ -1034,11 +997,10 @@ class HitlistService:
             from repro.publish.store import SnapshotStore
 
             publish_store = SnapshotStore(publish_dir, metrics=self.metrics)
-        # fork the scan-worker pool(s) once, before the campaign: every
+        # fork the scan-worker pools once, before the campaign: every
         # scan reuses the warm workers instead of paying fork latency
         # per day
-        pool = self.fleet if self.fleet is not None else self.engine
-        pool.warm(len(self._scan_pool))
+        self.fleet.warm(len(self._scan_pool))
         try:
             day = pacer.next_day()
             while day is not None:
@@ -1076,7 +1038,7 @@ class HitlistService:
                     self._m_ckpt_write.observe(self.clock.now() - start)
         finally:
             # the worker pools re-open lazily if the service runs again
-            pool.close()
+            self.fleet.close()
         stash = getattr(self, "_last_scan_full", None)
         if stash is not None and stash[0] not in self.history.retained:
             self._retain(stash[0])

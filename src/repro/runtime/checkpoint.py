@@ -279,15 +279,14 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
             "prev_responsive_any": _encode_addresses(service._prev_responsive_any),
             "gfw_purge_applied": service._gfw_purge_applied,
             "source_cursor": dict(service._source_cursor),
+            # member 0's total; a multi-member fleet also records every
+            # member's in its own state below
             "probes_sent": service.scanner.probes_sent,
             "apd_probes_sent": apd._scanner.probes_sent,
             "last_scan_full": last_scan_full,
             # fleet survival state (retry/backoff bookkeeping and
-            # per-vantage probe totals); None for single-vantage runs
-            "fleet": (
-                service.fleet.state_dict()
-                if service.fleet is not None else None
-            ),
+            # per-vantage probe totals); None for a fleet of one
+            "fleet": service.fleet.state_dict(),
             # incremental-scheduler priority + carry state; None for
             # full-mode runs
             "scheduler": (
@@ -361,7 +360,7 @@ def restore_service_state(service: "HitlistService", payload: Dict[str, Any]) ->
     service.scanner.probes_sent = int(state["probes_sent"])
     service.apd._scanner.probes_sent = int(state["apd_probes_sent"])
     fleet_state = state.get("fleet")
-    if fleet_state is not None and service.fleet is not None:
+    if fleet_state is not None:
         service.fleet.restore_state(fleet_state)
     sched_state = state.get("scheduler")
     if sched_state is not None and service.scheduler is not None:

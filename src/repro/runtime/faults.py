@@ -74,11 +74,11 @@ class VantageOutage:
     """A scan vantage is down for ``[start_day, end_day]`` (inclusive).
 
     Scans issued inside the window send nothing and hear nothing.  With
-    ``vantage=None`` (the default, and the only pre-fleet form) the
-    outage is *global*: the singleton vantage — or, in fleet mode, every
-    vantage at once — goes dark.  A non-``None`` ``vantage`` scopes the
-    outage to one fleet member (e.g. ``"vp1"``); the coordinator
-    re-shards that member's targets to the surviving vantages.
+    ``vantage=None`` (the default) the outage is *global*: every vantage
+    of the fleet goes dark at once, and the scan stands down.  A
+    non-``None`` ``vantage`` scopes the outage to one member of a
+    multi-vantage fleet (e.g. ``"vp1"``); the coordinator re-shards that
+    member's targets to the surviving vantages.
     """
 
     start_day: int
@@ -206,80 +206,46 @@ class FaultPlan:
     # vantage outages
 
     def vantage_down(self, day: int) -> bool:
-        """True when the (singleton) scan vantage is inside an outage.
+        """True when a global outage covers ``day``.
 
-        Only *global* outages (``vantage=None``) count: entries scoped
-        to a fleet member affect that member alone and are applied via
-        :meth:`view_for`.
+        Entries scoped to a fleet member affect that member alone and
+        are applied via :meth:`view_for`, whose view turns them into
+        global outages.
         """
         return any(
             outage.vantage is None and outage.active(day)
             for outage in self.outages
         )
 
-    def vantage_down_for(self, vantage: str, day: int) -> bool:
-        """True when the named fleet vantage is down on ``day``.
-
-        A global outage takes every vantage down; a scoped outage only
-        its own.
-        """
-        return any(
-            outage.active(day) and outage.vantage in (None, vantage)
-            for outage in self.outages
-        )
-
-    def outage_days_between(self, start_day: int, end_day: int) -> int:
-        """Number of days in ``(start_day, end_day]`` lost to outages.
-
-        The service's unresponsiveness filter subtracts these so a
-        vantage outage does not masquerade as 30 days of silence.  Only
-        global outages count — a single fleet member's downtime does
-        not stop the rest of the fleet from probing (see
-        :meth:`fleet_outage_days_between`).
-        """
-        total = 0
-        for low, high in self._merged_outage_windows():
-            overlap = min(high, end_day) - max(low, start_day + 1) + 1
-            if overlap > 0:
-                total += overlap
-        return total
-
     def fleet_outage_days_between(
         self, start_day: int, end_day: int, vantages: Sequence[str]
     ) -> int:
         """Days in ``(start_day, end_day]`` when the *whole* fleet was dark.
 
-        A day is lost to the fleet only when a global outage covers it
-        or every vantage in ``vantages`` has a scoped outage covering
-        it — with any member alive, orphaned targets are re-sharded and
-        still probed.
+        The service's unresponsiveness filter subtracts these so a
+        vantage outage does not masquerade as days of silence.  A day is
+        lost to the fleet only when a global outage covers it or every
+        vantage in ``vantages`` has a scoped outage covering it — with
+        any member alive, orphaned targets are re-sharded and still
+        probed.  With no ``vantages`` only global outages count.
         """
-        if not vantages:
-            return self.outage_days_between(start_day, end_day)
-        windows = _merge_windows(
+        windows = [
             (o.start_day, o.end_day) for o in self.outages if o.vantage is None
-        )
-        per_vantage = []
-        for vantage in vantages:
-            per_vantage.append(_merge_windows(
+        ]
+        windows += _intersect_windows([
+            _merge_windows(
                 (o.start_day, o.end_day)
                 for o in self.outages
                 if o.vantage in (None, vantage)
-            ))
-        windows = _merge_windows(
-            list(windows) + list(_intersect_windows(per_vantage))
-        )
+            )
+            for vantage in vantages
+        ])
         total = 0
-        for low, high in windows:
+        for low, high in _merge_windows(windows):
             overlap = min(high, end_day) - max(low, start_day + 1) + 1
             if overlap > 0:
                 total += overlap
         return total
-
-    def _merged_outage_windows(self) -> List[Tuple[int, int]]:
-        return _merge_windows(
-            (o.start_day, o.end_day) for o in self.outages if o.vantage is None
-        )
 
     # ------------------------------------------------------------------
     # per-vantage fleet views
@@ -287,7 +253,7 @@ class FaultPlan:
     def view_for(self, vantage: str, asn: int) -> "FaultPlan":
         """The fault plan as experienced by one fleet vantage.
 
-        Lowers fleet-scoped faults into the singleton vocabulary the
+        Lowers fleet-scoped faults into the global vocabulary the
         scanners already speak, so :class:`~repro.scan.zmap.ZMapScanner`
         and the scan engine need no fleet awareness:
 

@@ -1,8 +1,14 @@
-"""The multi-vantage scan fleet: sharding, failover, reconciliation.
+"""The scan fleet: sharding, failover, reconciliation.
 
-Promotes the scan vantage from a singleton to a coordinated fleet of N
-simulated vantage points, each at a distinct AS location and therefore
-with distinct path behaviour: its own Great-Firewall side (via
+Every campaign scans through a :class:`VantageFleet`.  A fleet of one
+is the campaign's own vantage (the paper's TUM vantage): its member
+probes the campaign world with the campaign's fault plan and seed, and
+the fleet adds no sharding, reconciliation, metric families, snapshot
+block or checkpoint state.  That rule lives in this module only.
+
+A fleet of N > 1 simulated vantage points puts each member at a
+distinct AS location and therefore with distinct path behaviour: its
+own Great-Firewall side (via
 :meth:`repro.simnet.internet.SimInternet.vantage_view`), its own loss
 and burst draws, and its own per-AS rate-limit exposure (via
 :meth:`repro.runtime.faults.FaultPlan.view_for`).
@@ -196,6 +202,10 @@ class VantageFleet:
             raise ValueError(f"overlap fraction out of range: {overlap}")
         self.specs = tuple(specs)
         self.quorum_policy = validate_policy(quorum)
+        #: a fleet of one is the campaign's own vantage (module docstring)
+        self._solo = len(self.specs) == 1
+        if fault_plan is not None:
+            self._check_scoped_faults(fault_plan)
         self._internet = internet
         self._blocklist = blocklist
         self._fault_plan = fault_plan
@@ -221,14 +231,20 @@ class VantageFleet:
         self.engines: List[ScanEngine] = []
         self.plans = []
         for spec in self.specs:
-            view = internet.vantage_view(spec.inside_gfw)
-            plan = (
-                fault_plan.view_for(spec.vid, spec.asn)
-                if fault_plan is not None else None
-            )
+            if self._solo:
+                view, plan, member_seed, label = (
+                    internet, fault_plan, seed, None
+                )
+            else:
+                view = internet.vantage_view(spec.inside_gfw)
+                plan = (
+                    fault_plan.view_for(spec.vid, spec.asn)
+                    if fault_plan is not None else None
+                )
+                member_seed, label = spec.seed, spec.vid
             scanner = ZMapScanner(
                 view, blocklist=blocklist, loss_rate=loss_rate,
-                seed=spec.seed, fault_plan=plan, retry=retry,
+                seed=member_seed, fault_plan=plan, retry=retry,
                 metrics=metrics,
             )
             self.views.append(view)
@@ -236,7 +252,7 @@ class VantageFleet:
             self.scanners.append(scanner)
             self.engines.append(ScanEngine(
                 scanner, workers=workers, chunk_size=chunk_size,
-                metrics=metrics, tracer=tracer, vantage=spec.vid,
+                metrics=metrics, tracer=tracer, vantage=label,
             ))
 
         # durable fleet survival state — rides in checkpoints
@@ -244,7 +260,7 @@ class VantageFleet:
         self._quarantine_until: Dict[str, int] = {}
 
         self._m_scans = self._m_targets = None
-        if metrics is not None:
+        if metrics is not None and not self._solo:
             self._m_scans = metrics.counter(
                 "repro_vantage_scans_total",
                 "Fleet scan participations, by vantage and outcome.",
@@ -273,6 +289,26 @@ class VantageFleet:
         """All member ids, in spec order."""
         return tuple(spec.vid for spec in self.specs)
 
+    def _check_scoped_faults(self, fault_plan) -> None:
+        """Reject faults scoped to vantages this fleet does not have.
+
+        Such a fault would otherwise be dropped without a trace.  A
+        fleet of one is the campaign's own vantage and takes global
+        faults only.
+        """
+        members = set() if self._solo else set(self.vantage_ids)
+        unknown = sorted(fault_plan.fleet_vantage_ids - members)
+        if unknown:
+            hint = (
+                "a single vantage takes no vantage-scoped faults"
+                if self._solo
+                else f"fleet members are {', '.join(self.vantage_ids)}"
+            )
+            raise ValueError(
+                f"fault plan names unknown vantage(s) "
+                f"{', '.join(unknown)}; {hint}"
+            )
+
     # ------------------------------------------------------------------
     # lifecycle
 
@@ -297,9 +333,14 @@ class VantageFleet:
         here, deterministically from (fault plan, scan schedule).  A
         member observed down during a *partial* failure is quarantined
         for ``min(2**failures, 16)`` days past the failure; a global
-        outage (everyone down) mirrors singleton semantics and does not
-        count against individual members.
+        outage (everyone down) stands the scan down and does not count
+        against individual members.  A fleet of one names no member as
+        down or backed off: its outage is the campaign's stand-down.
         """
+        if self._solo:
+            plan = self.plans[0]
+            up = plan is None or not plan.vantage_down(day)
+            return FleetRoster(day=day, live=self.vantage_ids if up else ())
         down: List[str] = []
         candidates: List[str] = []
         for spec, plan in zip(self.specs, self.plans):
@@ -332,8 +373,22 @@ class VantageFleet:
             day=day, live=live, down=tuple(down), backoff=tuple(backoff)
         )
 
-    def state_dict(self) -> Dict[str, object]:
-        """Durable fleet state for checkpoints."""
+    def standdown_block(self, roster: FleetRoster) -> Optional[Dict[str, object]]:
+        """The snapshot ``vantage`` block of a day with no live member;
+        None for a fleet of one."""
+        if self._solo:
+            return None
+        return {
+            "live": [],
+            "down": list(roster.down),
+            "backoff": list(roster.backoff),
+        }
+
+    def state_dict(self) -> Optional[Dict[str, object]]:
+        """Durable fleet state for checkpoints; None for a fleet of one,
+        whose only state is its scanner's ``probes_sent``."""
+        if self._solo:
+            return None
         return {
             "fail_counts": {
                 vid: count
@@ -462,8 +517,9 @@ class VantageFleet:
 
         Returns ``(results, udp53, report)`` shaped exactly like the
         single-engine :meth:`~repro.scan.engine.ScanEngine.
-        scan_all_protocols` output plus a :class:`FleetScanReport`.
-        Deterministic for any (worker count x vantage count x fault
+        scan_all_protocols` output plus a :class:`FleetScanReport`.  A
+        fleet of one hands the scan straight to its engine and reports
+        None.  Deterministic for any (worker count x vantage count x fault
         schedule): targets are walked in sorted order, vantages in spec
         order, and every reconciliation decision is a pure function of
         the per-vantage responder sets.
@@ -474,6 +530,11 @@ class VantageFleet:
         into the reconciled result after quorum, exactly as the
         single-engine path merges them after its metrics flush.
         """
+        if self._solo:
+            results, udp53 = self.engines[0].scan_all_protocols(
+                targets, day, qname, carried=carried
+            )
+            return results, udp53, None
         from repro.scan.zmap import ScanResult, Udp53Result
 
         if roster is None:

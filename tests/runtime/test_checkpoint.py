@@ -11,10 +11,13 @@ import os
 
 import pytest
 
-from repro.hitlist import HitlistService
+from repro.hitlist import HitlistService, ServiceSettings
 from repro.hitlist.history_io import history_summary
+from repro.obs import deterministic_metrics, registry_to_dict
 from repro.runtime import (
     CheckpointError,
+    FaultPlan,
+    VantageOutage,
     read_checkpoint,
     write_checkpoint,
 )
@@ -103,6 +106,51 @@ class TestKillAndResume:
         service = HitlistService(world, config)
         with pytest.raises(ValueError, match="checkpoint_every"):
             service.run(SCAN_DAYS[:2], checkpoint_every=0, checkpoint_path="x")
+
+
+class TestFleetCheckpointCompatibility:
+    """Fleet checkpoints written while the service still built an unused
+    home scanner carry that scanner's 0 as the top-level
+    ``service.probes_sent``; today that field is member 0's count."""
+
+    def test_zero_home_probes_resume_bit_identical(self, config, tmp_path):
+        settings = ServiceSettings(
+            gfw_filter_deploy_day=config.gfw_filter_deploy_day, vantages=3
+        )
+        reference = HitlistService(
+            build_internet(config), config, settings=settings
+        )
+        history = reference.run(SCAN_DAYS)
+
+        checkpoint = str(_run_killed(config, 6, tmp_path, settings=settings))
+        payload = read_checkpoint(checkpoint)
+        state = payload["service"]
+        assert state["probes_sent"] == state["fleet"]["probes_sent"][0] > 0
+        state["probes_sent"] = 0
+        write_checkpoint(checkpoint, payload)
+
+        resumed = HitlistService.resume(checkpoint)
+        assert resumed.scanner.probes_sent == state["fleet"]["probes_sent"][0]
+        _assert_identical(history, resumed.run())
+        assert deterministic_metrics(
+            registry_to_dict(resumed.metrics)
+        ) == deterministic_metrics(registry_to_dict(reference.metrics))
+
+    def test_stray_scoped_fault_no_longer_resumes(self, config, tmp_path):
+        """Older checkpoints could carry a fault scoped to a vantage the
+        fleet lacks (it was silently ignored); resuming one now fails
+        the same way a fresh run with that plan does."""
+        checkpoint = str(_run_killed(
+            config, 2, tmp_path,
+            fault_plan=FaultPlan(outages=(VantageOutage(10, 21),)),
+        ))
+        payload = read_checkpoint(checkpoint)
+        payload["fault_plan"]["vantage_outages"].append(
+            {"vantage": "vp1", "start_day": 42, "end_day": 63}
+        )
+        write_checkpoint(checkpoint, payload)
+        with pytest.raises(ValueError, match="vp1"):
+            HitlistService.resume(checkpoint)
 
 
 class TestCheckpointFormat:

@@ -40,10 +40,12 @@ class TestFaultPlanPrimitives:
     def test_outage_days_subtracted_half_open(self):
         plan = FaultPlan(outages=(VantageOutage(10, 12), VantageOutage(11, 15)))
         # (9, 20] covers the merged window 10..15 entirely
-        assert plan.outage_days_between(9, 20) == 6
+        assert plan.fleet_outage_days_between(9, 20, ()) == 6
         # (12, 20] only covers 13..15
-        assert plan.outage_days_between(12, 20) == 3
-        assert plan.outage_days_between(15, 20) == 0
+        assert plan.fleet_outage_days_between(12, 20, ()) == 3
+        assert plan.fleet_outage_days_between(15, 20, ()) == 0
+        # a fleet of one loses exactly the global days
+        assert plan.fleet_outage_days_between(9, 20, ("vp0",)) == 6
 
     def test_inverted_windows_rejected(self):
         with pytest.raises(ValueError):
@@ -127,8 +129,8 @@ class TestVantageScopedFaults:
     def test_scoped_entries_do_not_hit_the_global_vantage(self):
         plan = FaultPlan(outages=(VantageOutage(5, 8, vantage="vp2"),))
         assert not plan.vantage_down(6)
-        assert plan.vantage_down_for("vp2", 6)
-        assert not plan.vantage_down_for("vp1", 6)
+        assert plan.view_for("vp2", 1).vantage_down(6)
+        assert not plan.view_for("vp1", 1).vantage_down(6)
 
     def test_overlapping_same_vantage_windows_rejected(self):
         with pytest.raises(ValueError, match=r"overlapping.*vp1"):
@@ -215,7 +217,7 @@ class TestVantageScopedFaults:
         assert plan.fleet_outage_days_between(9, 30, vantages) == 6
         # a single member's downtime never counts against the fleet
         assert plan.fleet_outage_days_between(19, 21, vantages) == 0
-        # no fleet: falls back to the singleton accounting
+        # without members only global outages count
         assert plan.fleet_outage_days_between(9, 30, ()) == 3
 
 

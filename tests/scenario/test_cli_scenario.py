@@ -149,3 +149,22 @@ def test_scenario_run_day_override(tiny_scn, tmp_path):
     ]) in (0, 1)  # invariant may fail on a truncated run; exit code aside,
     summary = json.loads((outdir / "summary.json").read_text())
     assert [s["day"] for s in summary["snapshots"]] == [0, 7]
+
+
+def test_scenario_faults_must_name_fleet_members(tmp_path):
+    path = tmp_path / "stray.scn"
+    path.write_text(
+        TINY.replace("run:\n", (
+            "settings:\n"
+            "  vantages: 2\n"
+            "faults:\n"
+            "  vantage_outages:\n"
+            "    - vantage: vp{1..3}\n"
+            "      start_day: 7\n"
+            "      end_day: 14\n"
+            "run:\n"
+        )),
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"unknown vantage\(s\) vp2, vp3;"):
+        main(["scenario", "run", str(path), "--output", str(tmp_path / "o")])

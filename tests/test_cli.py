@@ -185,6 +185,24 @@ class TestRuntimeFlags:
             )
         assert summaries["1"] == summaries["3"]
 
+    @pytest.mark.parametrize("vantages,faults,message", [
+        ("1", "vp0:14-35", "vp0; a single vantage takes no vantage-scoped"),
+        ("1", "vp1:14-35", "vp1; a single vantage takes no vantage-scoped"),
+        ("3", "vp1:14-20,vp7:14-35", "vp7; fleet members are vp0, vp1, vp2"),
+    ])
+    def test_vantage_faults_must_name_fleet_members(
+        self, tmp_path, vantages, faults, message
+    ):
+        """A fault scoped to a vantage the run does not have fails the
+        run at config time instead of being dropped without a trace."""
+        with pytest.raises(ValueError, match=message):
+            main([
+                "simulate", "--preset", "small", "--days", "56",
+                "--interval", "7", "--vantages", vantages,
+                "--vantage-faults", faults, "-o", str(tmp_path / "run"),
+            ])
+        assert not (tmp_path / "run" / "summary.json").exists()
+
     def test_resume_rejects_corrupted_checkpoint(self, tmp_path):
         from repro.runtime import CheckpointError
 

@@ -1,7 +1,8 @@
 """Fleet coordinator unit properties: sharding, failover, reconciliation.
 
 The contracts under test, independent of the service pipeline: a
-one-member fleet is bit-identical to the bare scan engine, verdicts are
+one-member fleet is the campaign's own vantage, bit-identical to a bare
+scan engine at the campaign seed with no fleet state, verdicts are
 invariant to worker count, dead members' shards re-home deterministically
 to the survivors, and the retry/backoff state round-trips through
 :meth:`VantageFleet.state_dict`.
@@ -9,7 +10,8 @@ to the survivors, and the retry/backoff state round-trips through
 
 import pytest
 
-from repro.runtime.faults import FaultPlan, VantageOutage
+from repro.obs import MetricsRegistry, registry_to_dict
+from repro.runtime.faults import FaultPlan, VantageDegradation, VantageOutage
 from repro.scan.engine import ScanEngine
 from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet, small_config
@@ -96,14 +98,25 @@ class TestFleetConstruction:
         )
         assert fleet.vantage_ids == ("vp0", "vp1", "vp2")
 
+    def test_rejects_faults_scoped_to_unknown_vantages(self, world, config):
+        plan = FaultPlan(
+            outages=(
+                VantageOutage(1, 2, vantage="vp1"),
+                VantageOutage(3, 4, vantage="vp7"),
+            ),
+            degradations=(VantageDegradation("vp9", 5, 6, 0.25),),
+        )
+        specs = default_vantage_specs(world, config.seed, 3)
+        with pytest.raises(ValueError, match=r"unknown vantage\(s\) vp7, vp9;"):
+            VantageFleet(world, specs, fault_plan=plan)
+
 
 class TestSingleVantageEquivalence:
     def test_matches_bare_engine_bitwise(self, config, targets):
-        """A one-member fleet is the plain engine plus bookkeeping."""
+        """A one-member fleet is the plain engine at the campaign seed."""
         world = build_internet(config)
-        spec = default_vantage_specs(world, config.seed, 1)[0]
         engine = ScanEngine(
-            ZMapScanner(world, seed=spec.seed), chunk_size=512
+            ZMapScanner(world, seed=config.seed), chunk_size=512
         )
         ref_results, ref_udp = engine.scan_all_protocols(targets, DAY, QNAME)
 
@@ -115,9 +128,30 @@ class TestSingleVantageEquivalence:
         assert udp53.responders == ref_udp.responders
         assert udp53.responses == ref_udp.responses
         assert udp53.targets == ref_udp.targets
-        # a single vantage has no panel, so nothing to disagree about
-        assert report.witness_targets == 0
-        assert report.disagreements == {}
+        # a single vantage has no panel, so nothing to reconcile
+        assert report is None
+
+    def test_keeps_no_fleet_state(self, config):
+        metrics = MetricsRegistry()
+        world = build_internet(config)
+        plan = FaultPlan(outages=(VantageOutage(DAY, DAY),))
+        fleet = VantageFleet(
+            world, default_vantage_specs(world, config.seed, 1),
+            seed=config.seed, fault_plan=plan, metrics=metrics,
+        )
+        assert fleet.views == [world]
+        assert fleet.plans == [plan]
+        roster = fleet.roster(DAY)
+        # an outage is the campaign's stand-down, not a member failure
+        assert roster.all_down
+        assert roster.down == roster.backoff == ()
+        assert fleet.standdown_block(roster) is None
+        assert fleet.roster(DAY + 1).live == ("vp0",)
+        assert fleet.state_dict() is None
+        assert not [
+            name for name in registry_to_dict(metrics)["metrics"]
+            if name.startswith("repro_vantage_")
+        ]
 
 
 class TestMultiVantageScan:
