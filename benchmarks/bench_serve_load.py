@@ -1,9 +1,10 @@
-"""Serving-tier load benchmark: concurrent consumers, mixed traffic.
+"""Serving-tier load benchmark: the transport against a bare ``PublishApp``.
 
 Drives hundreds-to-thousands of concurrent simulated consumers — each a
-keep-alive HTTP/1.1 connection with its own ``X-Client-Id`` — against a
-live serving backend and reports requests/second plus p50/p99 tail
-latency.  The traffic mix mirrors real hitlist consumption:
+keep-alive HTTP/1.1 connection with its own ``X-Client-Id`` — against
+``repro-cli serve`` and reports requests/second plus p50/p99 latency,
+overall and per traffic class.  The traffic mix mirrors real hitlist
+consumption:
 
 * **full** — artifact downloads (gzip-negotiated, random snapshot);
 * **cond** — conditional refetches answered ``304 Not Modified``;
@@ -13,26 +14,30 @@ latency.  The traffic mix mirrors real hitlist consumption:
 
 plus a configurable *greedy* fraction of consumers that share one
 client id and hammer the token bucket into ``429`` territory, so the
-rate-limit path is load-tested too.
+rate-limit path is load-tested too: the run fails when greedy consumers
+exist but a leg answered no 429.  Each drive gives its consumers fresh
+client ids, so a repeat never starts on buckets an earlier drive
+drained.
 
-Backends (``--backends``, comma-separated):
+Legs:
 
-* ``thread`` — the stdlib ``ThreadingHTTPServer`` bridge (baseline);
-* ``asyncio`` — the event-loop front end (`repro.publish.aserve`);
-* ``prefork`` — N asyncio workers sharing one socket.
+* ``workers=1`` — ``repro-cli serve`` (one event loop, the default);
+* ``workers=2`` — ``repro-cli serve --workers 2`` (forked workers
+  sharing one socket, each with its own token buckets);
+* ``app`` — the same consumers' corpora (same client ids, rate and
+  burst) replayed in-process through a bare ``PublishApp.handle``,
+  round-robin across consumers: no sockets, no transport.
 
-Each backend is launched as its own ``repro-cli serve`` subprocess so
-the driver never shares a GIL with the server it is measuring.
-
-Every backend serves the *same* store through the *same* ``PublishApp``
-core (the conformance suite proves byte-identity), so the measured gap
-is purely the transport tier.  Results are recorded into
-``results/BENCH_serve_load.json``; with ``--check-baseline`` the run
-fails when asyncio does not beat threading by the baseline's
-``min_ratio`` in req/s::
+Each server runs as its own subprocess so the load client never shares
+a GIL with the server it is measuring.  A server leg's ``efficiency`` is its
+req/s over the ``app`` leg's: the share of the core's throughput that
+survives the transport (``transport.efficiency`` in the benchmark
+suite).  Results are recorded into ``results/BENCH_serve_load.json``;
+with ``--check-baseline`` the run also fails when the ``workers=1``
+leg's efficiency is below the baseline's ``min_efficiency``::
 
     PYTHONPATH=src python benchmarks/bench_serve_load.py \
-        --connections 512 --requests 40 \
+        --connections 64 --requests 8 --repeats 2 --rate 10 --burst 8 \
         --check-baseline benchmarks/baselines/serve_load_small.json
 """
 
@@ -56,14 +61,22 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _perf import record_bench_time
 
 from repro.net.address import format_ipv6
+from repro.obs.metrics import MetricsRegistry
+from repro.publish.server import PublishApp
 from repro.publish.store import SnapshotStore
 
 #: Default rate-limit settings: generous enough that well-behaved
 #: consumers never see a 429 during a run, small enough that the shared
-#: greedy bucket drains decisively at any backend's throughput (a
-#: marginal bucket makes the 429 count — and so req/s — flap run to
-#: run).
+#: greedy bucket drains decisively at any leg's throughput (a marginal
+#: bucket makes the 429 count — and so req/s — flap run to run).  At
+#: few requests per consumer, pass a burst near that count instead.
 RATE, BURST = 100.0, 200.0
+
+#: Server legs: name -> ``repro-cli serve --workers`` value.
+LEGS = {"workers=1": 1, "workers=2": 2}
+
+#: The bare-app reference leg.
+APP = "app"
 
 MIX = (
     ("full", 30),
@@ -95,6 +108,64 @@ def build_store(root: str, snapshots: int, addresses: int) -> SnapshotStore:
 
 
 # ---------------------------------------------------------------------------
+# consumers and their corpora
+
+Entry = Tuple[str, str, Dict[str, str]]  # (traffic class, target, headers)
+
+
+def build_corpus(store: SnapshotStore, rng: random.Random,
+                 requests: int) -> List[Entry]:
+    """One consumer's request sequence, drawn from the traffic mix."""
+    ids = store.snapshot_ids()
+    head = ids[-1]
+    etag = f'"{store.manifest(head).digest_of("responsive")}"'
+    kinds = [kind for kind, weight in MIX for _ in range(weight)]
+    corpus: List[Entry] = []
+    for _ in range(requests):
+        kind = rng.choice(kinds)
+        if kind == "full":
+            snapshot = rng.choice(ids)
+            name = rng.choice(("responsive", "icmp"))
+            corpus.append((kind, f"/v1/snapshots/{snapshot}/{name}", {}))
+        elif kind == "cond":
+            corpus.append(
+                (kind, "/v1/latest/responsive", {"If-None-Match": etag}))
+        elif kind == "delta":
+            start = rng.randrange(len(ids) - 1)
+            corpus.append(
+                (kind, f"/v1/delta/{ids[start]}/{ids[start + 1]}", {}))
+        elif kind == "query":
+            corpus.append(
+                (kind, "/v1/query?prefix=2001:db8::/32&protocol=icmp", {}))
+        else:
+            corpus.append(
+                (kind, rng.choice(("/v1/snapshots", "/v1/latest")), {}))
+    return corpus
+
+
+def plan(store: SnapshotStore, connections: int, requests: int,
+         greedy_fraction: float, seed: int,
+         tag: str) -> List[Tuple[str, List[Entry]]]:
+    """``(client id, corpus)`` per consumer.
+
+    The corpora depend on ``seed`` only, so every leg and every drive
+    replays the same requests; ``tag`` names the drive, giving each one
+    fresh client ids (and so fresh token buckets).
+    """
+    rng = random.Random(seed)
+    return [
+        (f"{tag}-greedy" if index < connections * greedy_fraction
+         else f"{tag}-consumer-{index}",
+         build_corpus(store, rng, requests))
+        for index in range(connections)
+    ]
+
+
+def request_headers(client_id: str, extra: Dict[str, str]) -> Dict[str, str]:
+    return {"Accept-Encoding": "gzip", "X-Client-Id": client_id, **extra}
+
+
+# ---------------------------------------------------------------------------
 # minimal asyncio HTTP/1.1 keep-alive client
 
 class Consumer(asyncio.Protocol):
@@ -109,20 +180,18 @@ class Consumer(asyncio.Protocol):
     """
 
     def __init__(self, host: str, port: int, client_id: str,
-                 corpus: List[Tuple[str, Dict[str, str]]]) -> None:
+                 corpus: List[Entry]) -> None:
         self.host = host
         self.port = port
         self.client_id = client_id
-        self.corpus = corpus
+        self.kinds = [kind for kind, _target, _extra in corpus]
         self.latencies: List[float] = []
-        self.statuses: Dict[int, int] = {}
+        self.statuses: List[int] = []
         self.raw_requests: List[bytes] = []
-        for target, extra in corpus:
-            head = [f"GET {target} HTTP/1.1",
-                    f"Host: {host}:{port}",
-                    "Accept-Encoding: gzip",
-                    f"X-Client-Id: {client_id}"]
-            head.extend(f"{name}: {value}" for name, value in extra.items())
+        for _kind, target, extra in corpus:
+            head = [f"GET {target} HTTP/1.1", f"Host: {host}:{port}"]
+            head.extend(f"{name}: {value}" for name, value
+                        in request_headers(client_id, extra).items())
             self.raw_requests.append(
                 ("\r\n".join(head) + "\r\n\r\n").encode("ascii"))
         self.buffer = b""
@@ -194,7 +263,7 @@ class Consumer(asyncio.Protocol):
     def _complete(self) -> None:
         now = time.perf_counter()
         self.latencies.append(now - self._t0)
-        self.statuses[self._status] = self.statuses.get(self._status, 0) + 1
+        self.statuses.append(self._status)
         self.index += 1
         if self.index >= len(self.raw_requests):
             self.done.set_result(None)
@@ -204,70 +273,53 @@ class Consumer(asyncio.Protocol):
         self.transport.write(self.raw_requests[self.index])
 
 
-def build_corpus(store: SnapshotStore, rng: random.Random,
-                 requests: int) -> List[Tuple[str, Dict[str, str]]]:
-    """One consumer's request sequence, drawn from the traffic mix."""
-    ids = store.snapshot_ids()
-    head = ids[-1]
-    etag = f'"{store.manifest(head).digest_of("responsive")}"'
-    kinds = [kind for kind, weight in MIX for _ in range(weight)]
-    corpus: List[Tuple[str, Dict[str, str]]] = []
-    for _ in range(requests):
-        kind = rng.choice(kinds)
-        if kind == "full":
-            snapshot = rng.choice(ids)
-            name = rng.choice(("responsive", "icmp"))
-            corpus.append((f"/v1/snapshots/{snapshot}/{name}", {}))
-        elif kind == "cond":
-            corpus.append(
-                ("/v1/latest/responsive", {"If-None-Match": etag}))
-        elif kind == "delta":
-            start = rng.randrange(len(ids) - 1)
-            corpus.append((f"/v1/delta/{ids[start]}/{ids[start + 1]}", {}))
-        elif kind == "query":
-            corpus.append(
-                ("/v1/query?prefix=2001:db8::/32&protocol=icmp", {}))
-        else:
-            corpus.append(rng.choice(
-                [("/v1/snapshots", {}), ("/v1/latest", {})]))
-    return corpus
+def summarize(wall: float, samples: List[Tuple[str, float, int]]
+              ) -> Dict[str, object]:
+    """One drive's report from its ``(class, seconds, status)`` samples."""
+
+    def tail(latencies: List[float]) -> Dict[str, float]:
+        latencies = sorted(latencies)
+        total = len(latencies)
+        return {
+            "requests": total,
+            "p50_ms": 1000 * latencies[total // 2],
+            "p99_ms": 1000 * latencies[min(total - 1, (total * 99) // 100)],
+        }
+
+    statuses: Dict[int, int] = {}
+    classes: Dict[str, List[float]] = {}
+    for kind, seconds, status in samples:
+        statuses[status] = statuses.get(status, 0) + 1
+        classes.setdefault(kind, []).append(seconds)
+    overall = tail([seconds for _kind, seconds, _status in samples])
+    return {
+        **overall,
+        "wall_seconds": wall,
+        "req_per_s": overall["requests"] / wall if wall else 0.0,
+        "statuses": {str(k): v for k, v in sorted(statuses.items())},
+        "classes": {kind: tail(classes[kind])
+                    for kind, _weight in MIX if kind in classes},
+    }
 
 
-async def drive(host: str, port: int, store: SnapshotStore,
-                connections: int, requests: int, greedy_fraction: float,
-                seed: int) -> Dict[str, object]:
+async def drive(host: str, port: int,
+                consumers_plan: List[Tuple[str, List[Entry]]]
+                ) -> Dict[str, object]:
     """Connect all consumers, then fire them concurrently and measure."""
-    rng = random.Random(seed)
-    consumers = []
-    for index in range(connections):
-        greedy = index < connections * greedy_fraction
-        consumers.append(Consumer(
-            host, port,
-            "greedy-shared" if greedy else f"consumer-{index}",
-            build_corpus(store, rng, requests),
-        ))
+    consumers = [Consumer(host, port, client_id, corpus)
+                 for client_id, corpus in consumers_plan]
     await asyncio.gather(*(c.connect() for c in consumers))
     start = time.perf_counter()
     await asyncio.gather(*(c.run() for c in consumers))
     wall = time.perf_counter() - start
-    latencies = sorted(l for c in consumers for l in c.latencies)
-    statuses: Dict[int, int] = {}
-    for consumer in consumers:
-        for status, count in consumer.statuses.items():
-            statuses[status] = statuses.get(status, 0) + count
-    total = len(latencies)
-    return {
-        "requests": total,
-        "wall_seconds": wall,
-        "req_per_s": total / wall if wall else 0.0,
-        "p50_ms": 1000 * latencies[total // 2],
-        "p99_ms": 1000 * latencies[min(total - 1, (total * 99) // 100)],
-        "statuses": {str(k): v for k, v in sorted(statuses.items())},
-    }
+    return summarize(wall, [
+        sample for c in consumers
+        for sample in zip(c.kinds, c.latencies, c.statuses)
+    ])
 
 
 # ---------------------------------------------------------------------------
-# backend lifecycles
+# legs
 
 #: Counter families scraped from ``/metrics`` into the report.
 SCRAPED = {
@@ -278,20 +330,19 @@ SCRAPED = {
 }
 
 
-class Backend:
-    """Starts a serving backend in its own process, tears it down.
+class Server:
+    """Starts ``repro-cli serve --workers N`` in its own process.
 
-    Every backend runs as a ``repro-cli serve`` subprocess — including
-    the thread and asyncio bridges that *could* run in-process — so the
-    driver's event loop is never captive to the server's GIL.  With an
-    in-process server the two busy threads trade 5 ms GIL slices and
-    the measurement swings with scheduler luck; separate processes let
-    the OS preempt fairly and the run-to-run spread collapses.
+    Even the one-worker server *could* run in-process, but then the
+    client's event loop would be captive to the server's GIL: the two
+    busy threads trade 5 ms GIL slices and the measurement swings with
+    scheduler luck.  Separate processes let the OS preempt fairly and
+    the run-to-run spread collapses.
     """
 
-    def __init__(self, name: str, store_dir: str,
-                 rate: float = RATE, burst: float = BURST) -> None:
-        self.name = name
+    def __init__(self, workers: int, store_dir: str,
+                 rate: float, burst: float) -> None:
+        self.workers = workers
         self.store_dir = store_dir
         self.rate = rate
         self.burst = burst
@@ -303,15 +354,13 @@ class Backend:
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             "src" + os.pathsep + env.get("PYTHONPATH", "")).rstrip(os.pathsep)
-        command = [sys.executable, "-m", "repro.cli", "serve",
-                   "--store", self.store_dir, "--backend", self.name,
-                   "--port", "0",
-                   "--rate", str(self.rate), "--burst", str(self.burst),
-                   "--port-file", str(port_file)]
-        if self.name == "prefork":
-            command += ["--workers", str(os.cpu_count() or 2)]
         self.process = subprocess.Popen(
-            command, env=env, cwd=str(pathlib.Path(__file__).parent.parent),
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--store", self.store_dir, "--workers", str(self.workers),
+             "--port", "0",
+             "--rate", str(self.rate), "--burst", str(self.burst),
+             "--port-file", str(port_file)],
+            env=env, cwd=str(pathlib.Path(__file__).parent.parent),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         for _ in range(200):
@@ -323,11 +372,11 @@ class Backend:
                 break
             time.sleep(0.05)
         raise RuntimeError(
-            f"{self.name} backend never wrote its port file")
+            f"serve --workers {self.workers} never wrote its port file")
 
     def _sample_metrics(self) -> None:
-        # prefork workers keep per-process registries, so one scrape
-        # sees one worker's counters — informational, not a total
+        # workers keep per-process registries, so with several workers
+        # one scrape sees one worker's counters — informational only
         totals = {label: 0.0 for label in SCRAPED.values()}
         try:
             conn = http.client.HTTPConnection(*self.address, timeout=5)
@@ -358,52 +407,91 @@ class Backend:
             self.process.kill()
 
 
-def run_backend(name: str, store_dir: str, connections: int, requests: int,
-                greedy_fraction: float, seed: int, rate: float, burst: float,
-                repeats: int = 1) -> Dict[str, object]:
-    store = SnapshotStore(store_dir)
-    backend = Backend(name, store_dir, rate=rate, burst=burst)
-    host, port = backend.start()
-    try:
-        # warm up connection handling and the blob/render caches outside
-        # the measured window (both backends get the same treatment)
-        asyncio.run(drive(host, port, store, connections=4,
-                          requests=8, greedy_fraction=0.0, seed=seed + 1))
-        # a 1-CPU box timeshares driver and server, so a single drive is
-        # hostage to scheduler luck; the best of `repeats` drives is the
-        # standard capacity estimate (noise only ever subtracts)
-        result = None
-        for attempt in range(max(1, repeats)):
-            candidate = asyncio.run(drive(
-                host, port, store, connections, requests,
-                greedy_fraction, seed))
-            if result is None or candidate["req_per_s"] > result["req_per_s"]:
-                result = candidate
-    finally:
-        backend.stop()
-    result["backend"] = name
-    result.update(backend.extra)
+def best(run_drive, store: SnapshotStore, args) -> Dict[str, object]:
+    """Warm up, then the best of ``args.repeats`` measured drives.
+
+    The warm-up exercises connection handling and the blob/render
+    caches outside the measured window (every leg gets the same).  A
+    small box timeshares client and server, so a single drive is
+    hostage to scheduler luck; the best of the drives is the standard
+    capacity estimate (noise only ever subtracts).
+    """
+    run_drive(plan(store, 4, 8, 0.0, args.seed + 1, "warm"))
+    result = None
+    for attempt in range(max(1, args.repeats)):
+        candidate = run_drive(plan(
+            store, args.connections, args.requests, args.greedy_fraction,
+            args.seed, f"drive{attempt}"))
+        if result is None or candidate["req_per_s"] > result["req_per_s"]:
+            result = candidate
     return result
+
+
+def run_server(workers: int, store_dir: str, args) -> Dict[str, object]:
+    server = Server(workers, store_dir, args.rate, args.burst)
+    host, port = server.start()
+    try:
+        result = best(
+            lambda consumers: asyncio.run(drive(host, port, consumers)),
+            SnapshotStore(store_dir), args)
+    finally:
+        server.stop()
+    result.update(server.extra)
+    return result
+
+
+def run_app(store_dir: str, args) -> Dict[str, object]:
+    """The reference leg: every consumer's corpus through a bare
+    ``PublishApp.handle``, round-robin, with the consumers' headers."""
+    app = PublishApp(SnapshotStore(store_dir), metrics=MetricsRegistry(),
+                     rate=args.rate, burst=args.burst)
+    handle = app.handle
+    timer = time.perf_counter
+
+    def app_drive(consumers) -> Dict[str, object]:
+        lanes = [
+            [(kind, target, {name.lower(): value for name, value in
+                             request_headers(client_id, extra).items()})
+             for kind, target, extra in corpus]
+            for client_id, corpus in consumers
+        ]
+        order = [entry for step in zip(*lanes) for entry in step]
+        samples = []
+        start = timer()
+        for kind, target, headers in order:
+            began = timer()
+            status = handle("GET", target, headers, client="127.0.0.1",
+                            lowered=True).status
+            samples.append((kind, timer() - began, status))
+        return summarize(timer() - start, samples)
+
+    return best(app_drive, SnapshotStore(store_dir), args)
 
 
 # ---------------------------------------------------------------------------
 
-def check_baseline(path: pathlib.Path, ratio: Optional[float]) -> int:
-    baseline = json.loads(path.read_text())
-    floor = baseline["min_ratio"]
-    if ratio is None:
-        print("baseline check needs both 'thread' and 'asyncio' backends",
-              file=sys.stderr)
-        return 1
-    if ratio < floor:
-        print(
-            f"SERVING REGRESSION: asyncio delivers only {ratio:.2f}x the "
-            f"threading backend's req/s; baseline requires >= {floor:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"serving floor OK: asyncio/thread = {ratio:.2f}x >= {floor:.1f}x")
-    return 0
+def check(results: Dict[str, Dict[str, object]], greedy: bool,
+          baseline: Optional[pathlib.Path]) -> int:
+    status = 0
+    if greedy:
+        for name, result in results.items():
+            if "429" not in result["statuses"]:
+                print(f"RATE-LIMIT PATH UNTESTED: {name} answered no 429 "
+                      f"to the greedy consumers; lower --rate/--burst",
+                      file=sys.stderr)
+                status = 1
+    if baseline is not None:
+        floor = json.loads(baseline.read_text())["min_efficiency"]
+        efficiency = results["workers=1"]["efficiency"]
+        if efficiency < floor:
+            print(f"SERVING REGRESSION: workers=1 delivers only "
+                  f"{efficiency:.3f} of the bare app's req/s; baseline "
+                  f"requires >= {floor:.3f}", file=sys.stderr)
+            status = 1
+        else:
+            print(f"serving floor OK: workers=1 efficiency "
+                  f"{efficiency:.3f} >= {floor:.3f}")
+    return status
 
 
 def main(argv=None) -> int:
@@ -419,44 +507,36 @@ def main(argv=None) -> int:
     parser.add_argument("--greedy-fraction", type=float, default=1 / 16,
                         help="fraction of consumers sharing one client id "
                              "to provoke 429s (default: 1/16)")
-    parser.add_argument("--backends", default="thread,asyncio",
-                        help="comma list of thread,asyncio,prefork")
     parser.add_argument("--rate", type=float, default=RATE,
                         help="token-bucket refill per client id (req/s)")
     parser.add_argument("--burst", type=float, default=BURST,
                         help="token-bucket burst capacity per client id")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="measured drives per backend; the best "
-                             "req/s is reported (default: 3)")
+                        help="measured drives per leg; the best req/s is "
+                             "reported (default: 3)")
     parser.add_argument("--seed", type=int, default=8064)
     parser.add_argument("--check-baseline", type=pathlib.Path, default=None,
-                        help="baseline JSON ({min_ratio}); exit 1 when "
-                             "asyncio/thread req/s dips below")
+                        help="baseline JSON ({min_efficiency}); exit 1 when "
+                             "the workers=1 leg's efficiency dips below")
     args = parser.parse_args(argv)
 
-    names = [name.strip() for name in args.backends.split(",") if name.strip()]
     results: Dict[str, Dict[str, object]] = {}
     with tempfile.TemporaryDirectory(prefix="bench-serve-load-") as tmp:
         store_dir = str(pathlib.Path(tmp) / "store")
         start = time.perf_counter()
         build_store(store_dir, args.snapshots, args.addresses)
         build_wall = time.perf_counter() - start
-        for name in names:
-            results[name] = run_backend(
-                name, store_dir, args.connections, args.requests,
-                args.greedy_fraction, args.seed, args.rate, args.burst,
-                repeats=args.repeats)
-            r = results[name]
-            print(f"{name:>8}: {r['req_per_s']:>10.0f} req/s  "
-                  f"p50 {r['p50_ms']:.2f} ms  p99 {r['p99_ms']:.2f} ms  "
-                  f"statuses {r['statuses']}")
-
-    ratio = None
-    if "thread" in results and "asyncio" in results:
-        ratio = (results["asyncio"]["req_per_s"]
-                 / results["thread"]["req_per_s"])
-        print(f"asyncio/thread speedup: {ratio:.2f}x "
-              f"at {args.connections} connections")
+        results[APP] = run_app(store_dir, args)
+        for name, workers in LEGS.items():
+            results[name] = run_server(workers, store_dir, args)
+            results[name]["efficiency"] = (
+                results[name]["req_per_s"] / results[APP]["req_per_s"])
+    for name, r in results.items():
+        efficiency = (f"  efficiency {r['efficiency']:.3f}"
+                      if "efficiency" in r else "")
+        print(f"{name:>9}: {r['req_per_s']:>10.0f} req/s  "
+              f"p50 {r['p50_ms']:.3f} ms  p99 {r['p99_ms']:.3f} ms  "
+              f"statuses {r['statuses']}{efficiency}")
 
     record_bench_time(
         "serve_load",
@@ -465,13 +545,12 @@ def main(argv=None) -> int:
         extra={
             "connections": args.connections,
             "requests_per_connection": args.requests,
-            "backends": results,
-            "asyncio_vs_thread_ratio": ratio,
+            "rate": args.rate,
+            "burst": args.burst,
+            "legs": results,
         },
     )
-    if args.check_baseline is not None:
-        return check_baseline(args.check_baseline, ratio)
-    return 0
+    return check(results, args.greedy_fraction > 0, args.check_baseline)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Subcommands mirror how the paper's artefacts are used:
 * ``aggregate`` — aggregate a prefix list (drop nested, merge siblings);
 * ``serve`` — serve a publication snapshot store (``--publish-dir``)
   over HTTP: full artifacts, deltas, prefix/ASN queries, ``/metrics``,
-  with a selectable backend (``--backend asyncio|prefork|thread``);
+  from one asyncio event loop or ``--workers N`` forked ones;
 * ``config`` — dump a scenario configuration as JSON for editing.
 
 Run ``python -m repro.cli --help`` for details.
@@ -381,55 +381,24 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.obs.metrics import MetricsRegistry
     from repro.publish import aserve
-    from repro.publish.server import PublishApp, make_server
-    from repro.publish.store import SnapshotStore
-
-    cache_bytes = int(args.cache_mb * 1024 * 1024)
 
     def announce(address) -> None:
         host, port = address[:2]
         if args.port_file:
             pathlib.Path(args.port_file).write_text(f"{port}\n")
         print(f"serving snapshot store {args.store} on http://{host}:{port}/ "
-              f"(backend={args.backend}, rate={args.rate}/s, "
+              f"(workers={args.workers}, rate={args.rate}/s, "
               f"burst={args.burst}, cache={args.cache_mb} MiB)", flush=True)
 
-    if args.backend == "prefork":
-        return aserve.run_prefork(
-            aserve.default_app_factory(
-                args.store, rate=args.rate, burst=args.burst,
-                cache_bytes=cache_bytes,
-            ),
-            host=args.host, port=args.port, workers=args.workers,
-            ready=announce,
-        )
-
-    app = PublishApp(
-        SnapshotStore(args.store), metrics=MetricsRegistry(),
-        rate=args.rate, burst=args.burst, cache_bytes=cache_bytes,
+    return aserve.run(
+        aserve.default_app_factory(
+            args.store, rate=args.rate, burst=args.burst,
+            cache_bytes=int(args.cache_mb * 1024 * 1024),
+        ),
+        host=args.host, port=args.port, workers=args.workers,
+        ready=announce,
     )
-    if args.backend == "asyncio":
-        try:
-            asyncio.run(aserve.serve_async(
-                app, host=args.host, port=args.port, ready=announce,
-            ))
-        except KeyboardInterrupt:
-            pass
-        return 0
-
-    server = make_server(app, host=args.host, port=args.port)
-    announce(server.server_address)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
 
 
 def cmd_config(args: argparse.Namespace) -> int:
@@ -538,6 +507,30 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     results = check_summary(expanded.invariants, summary)
     print(render_results(results))
     return 0 if all(result.passed for result in results) else 1
+
+
+def _bounded(kind, low, strict=False):
+    """An argparse type: ``kind(text)``, rejected unless ``>= low``
+    (``> low`` when ``strict``)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value" on a bad literal
+    return parse
+
+
+def _store_dir(text: str) -> str:
+    """An argparse type: a directory that already holds a snapshot store."""
+    root = pathlib.Path(text)
+    if not ((root / "manifests").is_dir() and (root / "objects").is_dir()):
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a snapshot store (no manifests/ and objects/ "
+            f"directories; publish one with 'simulate --publish-dir')")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -668,27 +661,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_srv = sub.add_parser("serve",
                            help="serve a publication snapshot store over HTTP")
-    p_srv.add_argument("--store", default="publish-store",
-                       help="snapshot store directory (default: publish-store)")
+    p_srv.add_argument("--store", type=_store_dir, default="publish-store",
+                       help="existing snapshot store directory "
+                            "(default: publish-store)")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8064,
                        help="TCP port (0 binds an ephemeral port)")
-    p_srv.add_argument("--backend", choices=("thread", "asyncio", "prefork"),
-                       default="asyncio",
-                       help="serving tier: 'asyncio' (default; keep-alive "
-                            "event loop, sendfile), 'prefork' (N asyncio "
-                            "workers sharing one socket), or 'thread' "
-                            "(stdlib ThreadingHTTPServer smoke bridge)")
-    p_srv.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker processes for --backend prefork "
-                            "(default: 2)")
-    p_srv.add_argument("--cache-mb", type=float, dest="cache_mb",
+    p_srv.add_argument("--workers", type=_bounded(int, 1), default=1,
+                       metavar="N",
+                       help="serving processes sharing one socket (default: "
+                            "1, an event loop in this process; N > 1 forks "
+                            "N workers, each with its own cache and rate "
+                            "limits)")
+    p_srv.add_argument("--cache-mb", type=_bounded(float, 0), dest="cache_mb",
                        default=64.0, metavar="MIB",
                        help="hot-blob cache byte budget in MiB "
                             "(default: 64; 0 disables the cache)")
-    p_srv.add_argument("--rate", type=float, default=50.0,
+    p_srv.add_argument("--rate", type=_bounded(float, 0, strict=True),
+                       default=50.0,
                        help="rate-limit tokens per second per client")
-    p_srv.add_argument("--burst", type=float, default=100.0,
+    p_srv.add_argument("--burst", type=_bounded(float, 1), default=100.0,
                        help="rate-limit burst size per client")
     p_srv.add_argument("--port-file", dest="port_file", metavar="PATH",
                        help="write the bound port number to PATH (useful "

@@ -19,13 +19,12 @@ distribution layer for the reproduction:
   limiter over an injectable :class:`repro.obs.clock.Clock`;
 * :mod:`repro.publish.server` — the socket-free HTTP serving core
   (strong ETags, ``If-None-Match`` 304s, gzip, ``/v1`` API,
-  ``/metrics``) instrumented through :mod:`repro.obs`, plus the stdlib
-  threading bridge;
+  ``/metrics``) instrumented through :mod:`repro.obs`;
 * :mod:`repro.publish.cache` — a read-through hot-blob LRU cache with a
   byte budget, fronting the immutable object store;
-* :mod:`repro.publish.aserve` — the high-throughput asyncio front end
-  (HTTP/1.1 keep-alive, connection metrics, ``os.sendfile``) and the
-  pre-fork worker mode sharing one listening socket.
+* :mod:`repro.publish.aserve` — the one transport: an asyncio HTTP/1.1
+  front end (keep-alive, connection metrics, ``os.sendfile``) serving
+  one listening socket from one process or N forked workers.
 """
 
 from repro.publish.cache import BlobCache, CachedBlob
@@ -40,7 +39,7 @@ from repro.publish.delta import (
 )
 from repro.publish.index import QueryIndex
 from repro.publish.ratelimit import TokenBucket
-from repro.publish.server import PublishApp, Response, serve
+from repro.publish.server import PublishApp, Response
 from repro.publish.store import (
     ARTIFACT_NAMES,
     GZIP_THRESHOLD,
@@ -72,5 +71,4 @@ __all__ = [
     "delta_to_json",
     "publication_artifacts",
     "reconstruct_artifacts",
-    "serve",
 ]

@@ -1,12 +1,9 @@
 """Asyncio HTTP/1.1 front end for :class:`~repro.publish.server.PublishApp`.
 
-The threading bridge in :mod:`repro.publish.server` spends a thread per
-connection, which collapses under thousands of keep-alive consumers.
-This module is the high-throughput tier over the *same* socket-free
-core — every status, header and body byte comes from
-``PublishApp.handle``, so the two backends cannot drift (the
-differential conformance suite replays one corpus against both and
-asserts byte identity).
+This is the only serving transport.  Every status, header and body byte
+comes from ``PublishApp.handle``; the differential conformance suite
+replays one corpus through this front end and through a bare
+``PublishApp.handle`` and asserts byte identity (``Date`` aside).
 
 What the front end adds is purely transport:
 
@@ -24,14 +21,13 @@ What the front end adds is purely transport:
   ``…_conn_closed_total`` (by reason), a ``…_conn_active`` gauge, a
   ``…_conn_requests`` per-connection histogram and
   ``repro_serve_sendfile_total``;
-* **pre-fork workers** — :func:`run_prefork` binds one listening
-  socket and forks N children, each running its own event loop (and its
-  own :class:`PublishApp`) against the shared socket, so multi-core
-  hosts scale past a single loop.
+* **workers** — :func:`run` binds one listening socket and serves it
+  from one event loop in the current process, or from N forked
+  children, each with its own loop and its own :class:`PublishApp`, so
+  multi-core hosts scale past a single loop.
 
-Run it from the CLI (``repro-cli serve --backend asyncio|prefork``),
-from tests via :func:`start_in_thread`, or embed :func:`serve_async` in
-an existing event loop.
+Run it from the CLI (``repro-cli serve [--workers N]``) or through
+:func:`run`, and from tests via :func:`start_in_thread`.
 """
 
 from __future__ import annotations
@@ -44,7 +40,8 @@ import signal
 import socket
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+import traceback
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.publish.cache import DEFAULT_CACHE_BYTES
@@ -55,6 +52,9 @@ from repro.publish.store import SnapshotStore
 #: plain buffer write.  Below this the syscall round-trip costs more
 #: than the copy; hot blobs are usually in the cache (memory) anyway.
 SENDFILE_MIN = 64 * 1024
+
+#: Listen backlog: the kernel default refuses connection bursts.
+BACKLOG = 1024
 
 #: Upper bound on one request's header block (request line + headers).
 MAX_HEADER_BYTES = 32 * 1024
@@ -71,17 +71,9 @@ class AsyncPublishServer:
     """One event loop serving a :class:`PublishApp` over HTTP/1.1."""
 
     def __init__(
-        self,
-        app: PublishApp,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        sendfile_min: int = SENDFILE_MIN,
-        backlog: int = 1024,
+        self, app: PublishApp, sendfile_min: int = SENDFILE_MIN
     ) -> None:
         self.app = app
-        self.host = host
-        self.port = port
-        self.backlog = backlog
         self.sendfile_min = sendfile_min
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
@@ -112,16 +104,10 @@ class AsyncPublishServer:
     # ------------------------------------------------------------------
     # lifecycle
 
-    async def start(self, sock: Optional[socket.socket] = None) -> None:
-        """Bind (or adopt ``sock``) and start accepting connections."""
-        loop = asyncio.get_running_loop()
-        if sock is not None:
-            self._server = await loop.create_server(
-                lambda: _HttpProtocol(self), sock=sock)
-        else:
-            self._server = await loop.create_server(
-                lambda: _HttpProtocol(self), self.host, self.port,
-                backlog=self.backlog, reuse_address=True)
+    async def start(self, sock: socket.socket) -> None:
+        """Start accepting connections on the listening ``sock``."""
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpProtocol(self), sock=sock)
         self._stopping = asyncio.Event()
 
     @property
@@ -415,35 +401,133 @@ def _http_date() -> str:
 
 
 # ---------------------------------------------------------------------------
-# embedding helpers
+# running a server
 
-async def serve_async(
-    app: PublishApp,
-    host: str = "127.0.0.1",
-    port: int = 8064,
-    ready: Optional[Callable[[Tuple[str, int]], None]] = None,
-    sendfile_min: int = SENDFILE_MIN,
-) -> None:
-    """Start an :class:`AsyncPublishServer` and serve forever.
+def _bind(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
+    """The listening socket a server adopts (``port=0``: ephemeral)."""
+    return socket.create_server((host, port), backlog=BACKLOG)
 
-    ``ready`` (if given) is called with the bound ``(host, port)`` once
-    the socket is listening — the CLI uses it for ``--port-file``.
-    """
-    server = AsyncPublishServer(
-        app, host=host, port=port, sendfile_min=sendfile_min)
-    await server.start()
+
+async def _serve(server: AsyncPublishServer, sock: socket.socket,
+                 started: Optional[Callable[[], None]] = None) -> None:
+    """Serve ``sock`` until ``server.stop()``; in a process's main thread
+    SIGINT and SIGTERM call it too."""
+    await server.start(sock)
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             loop.add_signal_handler(signum, server.stop)
         except (NotImplementedError, RuntimeError):
             break  # non-main thread or platform without signal support
-    if ready is not None:
-        ready(server.address)
+    if started is not None:
+        started()
+    await server.serve_until_stopped()
+
+
+def _serve_here(app: PublishApp, sock: socket.socket) -> int:
     try:
-        await server.serve_until_stopped()
+        asyncio.run(_serve(AsyncPublishServer(app), sock))
+    except KeyboardInterrupt:
+        pass
+    return 0
+
+
+def default_app_factory(
+    store_dir: str,
+    rate: float = 50.0,
+    burst: float = 100.0,
+    cache_bytes: int = DEFAULT_CACHE_BYTES,
+) -> Callable[[], PublishApp]:
+    """An app factory for :func:`run` (fresh store handle + registry per
+    worker — metrics are per-process by design)."""
+
+    def make() -> PublishApp:
+        return PublishApp(
+            SnapshotStore(store_dir), metrics=MetricsRegistry(),
+            rate=rate, burst=burst, cache_bytes=cache_bytes,
+        )
+
+    return make
+
+
+def run(
+    app_factory: Callable[[], PublishApp],
+    host: str = "127.0.0.1",
+    port: int = 0,
+    workers: int = 1,
+    ready: Optional[Callable[[Tuple[str, int]], None]] = None,
+) -> int:
+    """Serve ``app_factory()`` on ``host:port`` until SIGINT or SIGTERM.
+
+    Binds one listening socket and calls ``ready`` with its ``(host,
+    port)`` once (the CLI uses it for ``--port-file``).  With one worker
+    the current process serves the socket.  With more, ``workers``
+    forked children each build their own :class:`PublishApp` (own
+    metrics, blob cache and token buckets) and accept from the shared
+    socket — the kernel load-balances connections across them.  The
+    parent then only supervises: it forwards ``SIGTERM``/``SIGINT`` to
+    the children and returns the first nonzero child exit status (0
+    when all exit cleanly).
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):  # pragma: no cover
+        raise RuntimeError("more than one worker requires os.fork (POSIX)")
+    sock = _bind(host, port)
+    address = sock.getsockname()[:2]
+    try:
+        if workers == 1:
+            app = app_factory()
+            if ready is not None:
+                ready(address)
+            return _serve_here(app, sock)
+        pids = [_fork_worker(app_factory, sock) for _ in range(workers)]
+        if ready is not None:
+            ready(address)
+        return _supervise(pids)
     finally:
-        await server.close()
+        sock.close()
+
+
+def _fork_worker(app_factory: Callable[[], PublishApp],
+                 sock: socket.socket) -> int:
+    pid = os.fork()
+    if pid == 0:  # child: serve until signalled, never return
+        status = 1
+        try:
+            status = _serve_here(app_factory(), sock)
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _supervise(pids: List[int]) -> int:
+    def _forward(signum, _frame):  # pragma: no cover - signal timing
+        for pid in pids:
+            try:
+                os.kill(pid, signum)
+            except ProcessLookupError:
+                pass
+
+    previous = {
+        signum: signal.signal(signum, _forward)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    status = 0
+    try:
+        for pid in pids:
+            _pid, raw = os.waitpid(pid, 0)
+            code = os.waitstatus_to_exitcode(raw)
+            if code not in (0, -signal.SIGTERM, -signal.SIGINT) and not status:
+                status = code if code > 0 else 1
+    except KeyboardInterrupt:  # pragma: no cover - signal timing
+        _forward(signal.SIGTERM, None)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    return status
 
 
 class AsyncServerHandle:
@@ -477,24 +561,23 @@ def start_in_thread(
     Returns once the socket is listening; call ``.stop()`` to shut the
     loop down and join the thread.
     """
+    sock = _bind(host, port)
+    server = AsyncPublishServer(app, sendfile_min)
     started = threading.Event()
     holder: Dict[str, object] = {}
 
-    async def _main() -> None:
-        server = AsyncPublishServer(
-            app, host=host, port=port, sendfile_min=sendfile_min)
-        await server.start()
-        holder["server"] = server
+    def _started() -> None:
         holder["loop"] = asyncio.get_running_loop()
         started.set()
-        await server.serve_until_stopped()
 
     def _run() -> None:
         try:
-            asyncio.run(_main())
+            asyncio.run(_serve(server, sock, _started))
         except Exception as error:  # surface startup failures to the caller
             holder["error"] = error
             started.set()
+        finally:
+            sock.close()
 
     thread = threading.Thread(
         target=_run, name="repro-aserve", daemon=True)
@@ -505,99 +588,4 @@ def start_in_thread(
         raise RuntimeError(
             f"asyncio server failed to start: {holder['error']}")
     return AsyncServerHandle(
-        holder["server"], holder["loop"], thread)  # type: ignore[arg-type]
-
-
-# ---------------------------------------------------------------------------
-# pre-fork worker mode
-
-def default_app_factory(
-    store_dir: str,
-    rate: float = 50.0,
-    burst: float = 100.0,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
-) -> Callable[[], PublishApp]:
-    """An app factory for worker processes (fresh store handle + registry
-    per worker — metrics are per-process by design)."""
-
-    def make() -> PublishApp:
-        return PublishApp(
-            SnapshotStore(store_dir), metrics=MetricsRegistry(),
-            rate=rate, burst=burst, cache_bytes=cache_bytes,
-        )
-
-    return make
-
-
-async def _worker_serve(app: PublishApp, sock: socket.socket,
-                        sendfile_min: int) -> None:
-    server = AsyncPublishServer(app, sendfile_min=sendfile_min)
-    await server.start(sock=sock)
-    await server.serve_until_stopped()
-
-
-def run_prefork(
-    app_factory: Callable[[], PublishApp],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    workers: int = 2,
-    ready: Optional[Callable[[Tuple[str, int]], None]] = None,
-    sendfile_min: int = SENDFILE_MIN,
-) -> int:
-    """Bind one listening socket, fork ``workers`` asyncio children.
-
-    Each child builds its own :class:`PublishApp` (own metrics, own
-    blob cache) and accepts from the shared socket — the kernel load-
-    balances connections across workers.  The parent only supervises:
-    it forwards ``SIGTERM``/``SIGINT`` to the children and returns the
-    first nonzero child exit status (0 when all exit cleanly).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
-        raise RuntimeError("pre-fork serving requires os.fork (POSIX)")
-    sock = socket.create_server((host, port), backlog=1024)
-    address = sock.getsockname()[:2]
-    pids = []
-    for _ in range(workers):
-        pid = os.fork()
-        if pid == 0:  # child: serve until killed
-            status = 0
-            try:
-                asyncio.run(
-                    _worker_serve(app_factory(), sock, sendfile_min))
-            except KeyboardInterrupt:
-                pass
-            except Exception:
-                status = 1
-            finally:
-                os._exit(status)
-        pids.append(pid)
-    if ready is not None:
-        ready(address)
-
-    def _forward(signum, _frame):  # pragma: no cover - signal timing
-        for pid in pids:
-            try:
-                os.kill(pid, signum)
-            except ProcessLookupError:
-                pass
-
-    previous = {
-        signum: signal.signal(signum, _forward)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    status = 0
-    try:
-        for pid in pids:
-            _pid, raw = os.waitpid(pid, 0)
-            code = os.waitstatus_to_exitcode(raw)
-            if code not in (0, -signal.SIGTERM, -signal.SIGINT) and not status:
-                status = code if code > 0 else 1
-    except KeyboardInterrupt:  # pragma: no cover - signal timing
-        _forward(signal.SIGTERM, None)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        sock.close()
-    return status
+        server, holder["loop"], thread)  # type: ignore[arg-type]

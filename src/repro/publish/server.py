@@ -5,15 +5,9 @@ The heart is :class:`PublishApp`, a socket-free request handler —
 :class:`Response` — so every endpoint, cache and rate-limit behavior is
 testable without binding a port, with a
 :class:`~repro.obs.clock.FakeClock` making even ``Retry-After`` values
-exact.  Transport bridges share this one core, so they can never
-disagree about a response's status, headers or body bytes:
-
-* :class:`PublishRequestHandler` / :func:`make_server` — the stdlib
-  :class:`http.server.ThreadingHTTPServer` bridge (one thread per
-  connection; fine for smoke tests and light traffic);
-* :mod:`repro.publish.aserve` — the high-throughput asyncio front end
-  (keep-alive, connection metrics, ``os.sendfile``), plus a pre-fork
-  worker mode sharing one listening socket.
+exact.  The one transport, :mod:`repro.publish.aserve` (asyncio,
+keep-alive, ``os.sendfile``, one or N worker processes), adds only the
+``Date`` header to what ``handle`` returns.
 
 Endpoints (all ``GET``):
 
@@ -51,7 +45,6 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -522,83 +515,3 @@ def _etag_matches(etag: str, if_none_match: str) -> bool:
     if if_none_match.strip() == "*":
         return True
     return etag in [token.strip() for token in if_none_match.split(",")]
-
-
-# ---------------------------------------------------------------------------
-# stdlib HTTP bridge
-
-
-class PublishRequestHandler(BaseHTTPRequestHandler):
-    """Bridges :class:`PublishApp` into ``http.server``."""
-
-    app: PublishApp  # set by make_server
-    protocol_version = "HTTP/1.1"
-
-    def _dispatch(self, method: str) -> None:
-        response = self.app.handle(
-            method, self.path, dict(self.headers.items()),
-            client=self.client_address[0],
-        )
-        self.send_response(response.status)
-        for name, value in sorted(response.headers.items()):
-            self.send_header(name, value)
-        if "Content-Length" not in response.headers:
-            self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        if response.body:
-            self.wfile.write(response.body)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("HEAD")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
-
-    def log_message(self, format: str, *args) -> None:  # pragma: no cover
-        pass  # metrics carry the signal; stderr chatter helps nobody
-
-
-def make_server(
-    app: PublishApp, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """A ready-to-serve ``ThreadingHTTPServer`` bound to ``host:port``.
-
-    ``port=0`` binds an ephemeral port; read the actual one from
-    ``server.server_address``.
-    """
-    handler = type("BoundPublishHandler", (PublishRequestHandler,), {"app": app})
-    return _PublishHTTPServer((host, port), handler)
-
-
-class _PublishHTTPServer(ThreadingHTTPServer):
-    # the stdlib default backlog (5) refuses connection bursts long
-    # before the thread-per-connection model is the bottleneck; give the
-    # threading bridge a fair fight under the load harness
-    request_queue_size = 1024
-
-
-def serve(
-    store_dir: str,
-    host: str = "127.0.0.1",
-    port: int = 8064,
-    rate: float = 50.0,
-    burst: float = 100.0,
-    metrics: Optional[MetricsRegistry] = None,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
-) -> Tuple[ThreadingHTTPServer, PublishApp]:
-    """Open a store and return a bound (server, app) pair (not serving yet).
-
-    The caller decides how to run it::
-
-        server, app = serve("publish-store", port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-    """
-    store = SnapshotStore(store_dir, metrics=metrics)
-    app = PublishApp(
-        store, metrics=metrics, rate=rate, burst=burst,
-        cache_bytes=cache_bytes,
-    )
-    return make_server(app, host=host, port=port), app

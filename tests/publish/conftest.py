@@ -6,6 +6,14 @@ aliased prefix list, and an origins map, committed in scan order as the
 pipeline would.
 """
 
+import contextlib
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.net.address import format_ipv6
@@ -44,3 +52,37 @@ def populated_store(store):
             ),
         })
     return store
+
+
+@contextlib.contextmanager
+def cli_server(store_root, port_file, *flags):
+    """``python -m repro.cli serve`` over ``store_root`` in a subprocess.
+
+    Yields the bound port once the server has written ``port_file``;
+    on exit sends SIGTERM and asserts a clean (status 0) shutdown.
+    """
+    repo_root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    ).rstrip(os.pathsep)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--store", store_root,
+         "--port", "0", "--port-file", str(port_file), *flags],
+        env=env, cwd=str(repo_root),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 15.0
+        while not (port_file.exists() and port_file.read_text().strip()):
+            assert process.poll() is None, "serve exited prematurely"
+            assert time.monotonic() < deadline, "serve never wrote its port"
+            time.sleep(0.02)
+        yield int(port_file.read_text())
+    finally:
+        process.send_signal(signal.SIGTERM)
+        try:
+            assert process.wait(timeout=10) == 0
+        except subprocess.TimeoutExpired:
+            process.kill()
+            raise

@@ -1,18 +1,14 @@
 """Asyncio front-end transport behavior: the things conformance can't see.
 
-The differential suite proves the asyncio bridge serves the same bytes
-as the threading bridge; these tests cover what is *specific* to the
-transport tier — keep-alive connection accounting, close reasons,
-request-body draining, protocol-error handling, the ``os.sendfile``
-path, and the pre-fork worker mode.
+The differential suite proves the asyncio front end serves the same
+bytes as a bare ``PublishApp.handle``; these tests cover what is
+*specific* to the transport tier — keep-alive connection accounting,
+close reasons, request-body draining, protocol-error handling, the
+``os.sendfile`` path, and serving from several worker processes.
 """
 
 import os
-import pathlib
-import signal
 import socket
-import subprocess
-import sys
 import time
 
 import pytest
@@ -22,6 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.publish import aserve
 from repro.publish.server import PublishApp
 from repro.publish.store import SnapshotStore
+from tests.publish.conftest import cli_server
 
 
 def fresh_app(store, **kwargs):
@@ -270,27 +267,11 @@ class TestSendfile:
             sock.close()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="prefork needs POSIX")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 def test_prefork_smoke(populated_store, tmp_path):
     """Two workers share one socket via the CLI; clean SIGTERM exit."""
-    port_file = tmp_path / "port"
-    repo_root = pathlib.Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    ).rstrip(os.pathsep)
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--store", populated_store.root, "--backend", "prefork",
-         "--workers", "2", "--port", "0", "--port-file", str(port_file)],
-        env=env, cwd=str(repo_root),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    try:
-        assert wait_for(
-            lambda: port_file.exists() and port_file.read_text().strip(),
-            timeout=15.0), "prefork never wrote its port file"
-        port = int(port_file.read_text())
+    with cli_server(populated_store.root, tmp_path / "port",
+                    "--workers", "2") as port:
         for _ in range(4):  # a few connections, load-balanced by accept
             sock = open_conn(("127.0.0.1", port))
             try:
@@ -298,10 +279,3 @@ def test_prefork_smoke(populated_store, tmp_path):
                 assert read_response(sock)[0] == 200
             finally:
                 sock.close()
-    finally:
-        process.send_signal(signal.SIGTERM)
-        try:
-            assert process.wait(timeout=10) == 0
-        except subprocess.TimeoutExpired:
-            process.kill()
-            raise

@@ -1,34 +1,39 @@
-"""Differential conformance: the serving bridges can never drift.
+"""Differential conformance: the transport adds nothing but ``Date``.
 
-The asyncio front end exists for throughput, not behavior — every
-status, header and body byte must match what the threading bridge
-serves from the same :class:`PublishApp` core.  This suite replays one
-request corpus (200s, 304s, gzip negotiation, deltas, queries,
-deterministic 429s, malformed paths, HEAD, 405s) against both bridges
-over real sockets and asserts byte identity, excluding only the
-headers a bridge legitimately owns (``Date``, ``Server``).
+A bare :meth:`PublishApp.handle` is the reference.  This suite replays
+one request corpus (200s, 304s, gzip negotiation, deltas, queries,
+deterministic 429s, malformed paths, HEAD, 405s) over real sockets and
+through a fresh bare app, and asserts byte identity of every status,
+lowercased header and body, excluding only ``Date``, which the
+transport owns.
 
-Determinism: each backend gets its own app over the same store with a
-``FakeClock(auto_advance=...)`` — the corpus is replayed sequentially
-on one keep-alive connection, so both apps observe the identical
-timestamp sequence and the token bucket yields the identical 429
-pattern, including ``Retry-After`` values.
+Two servers are checked:
+
+* the asyncio front end in a thread, over an app with
+  ``FakeClock(auto_advance=...)``.  The corpus is replayed sequentially
+  on one keep-alive connection, so the served app and the reference app
+  observe the identical timestamp sequence and the token bucket yields
+  the identical 429 pattern, including ``Retry-After`` values;
+* ``repro-cli serve --workers 2``, against a reference app with the
+  CLI's default rate and burst.  Its workers run on the wall clock with
+  a token bucket each, so its corpus leaves out the hammer block.
 """
 
 import http.client
-import threading
+import os
 
 import pytest
 
+from repro.cli import build_parser
 from repro.obs.clock import FakeClock
 from repro.obs.metrics import MetricsRegistry
 from repro.publish import aserve
-from repro.publish.server import PublishApp, make_server
+from repro.publish.server import PublishApp
 from repro.publish.store import SnapshotStore
+from tests.publish.conftest import cli_server
 
-#: Headers owned by the transport bridge, not the PublishApp contract:
-#: ``Date`` moves with the wall clock, ``Server`` names the bridge.
-BRIDGE_HEADERS = frozenset({"date", "server"})
+#: The header the transport owns: it moves with the wall clock.
+TRANSPORT_HEADERS = frozenset({"date"})
 
 #: Token bucket sizing: small enough that the shared "hammer" id runs
 #: dry mid-corpus, refilling so slowly (vs the FakeClock steps) that
@@ -36,7 +41,7 @@ BRIDGE_HEADERS = frozenset({"date", "server"})
 RATE, BURST = 2.0, 6.0
 
 
-def build_corpus(store):
+def build_corpus(store, hammer=True):
     """The replayed (method, target, headers) sequence.
 
     Every request carries its own ``X-Client-Id`` so rate limiting
@@ -71,14 +76,15 @@ def build_corpus(store):
         (method, target, {**headers, "X-Client-Id": f"corpus-{index}"})
         for index, (method, target, headers) in enumerate(corpus)
     ]
-    corpus += [
-        ("GET", "/v1/latest", {"X-Client-Id": "hammer"})
-    ] * (int(BURST) + 4)
+    if hammer:
+        corpus += [
+            ("GET", "/v1/latest", {"X-Client-Id": "hammer"})
+        ] * (int(BURST) + 4)
     return corpus
 
 
 def replay(address, corpus):
-    """Observed (status, headers-sans-bridge, body) per corpus entry."""
+    """Observed (status, headers-sans-Date, body) per corpus entry."""
     host, port = address
     conn = http.client.HTTPConnection(host, port, timeout=10)
     observed = []
@@ -90,12 +96,38 @@ def replay(address, corpus):
             kept = {
                 name.lower(): value
                 for name, value in response.getheaders()
-                if name.lower() not in BRIDGE_HEADERS
+                if name.lower() not in TRANSPORT_HEADERS
             }
             observed.append((response.status, kept, body))
     finally:
         conn.close()
     return observed
+
+
+def reference(app, corpus):
+    """The bare app's (status, lowercased headers, body) per entry."""
+    observed = []
+    for method, target, headers in corpus:
+        response = app.handle(method, target, headers, client="127.0.0.1")
+        lowered = {name.lower(): value
+                   for name, value in response.headers.items()}
+        observed.append((response.status, lowered, response.body))
+    return observed
+
+
+def assert_identical(corpus, served, expected):
+    assert len(served) == len(expected) == len(corpus)
+    for index, (method, target, _headers) in enumerate(corpus):
+        s_status, s_headers, s_body = served[index]
+        e_status, e_headers, e_body = expected[index]
+        where = f"corpus[{index}] {method} {target}"
+        assert s_status == e_status, (
+            f"{where}: status {s_status} (served) != {e_status} (app)")
+        assert s_headers == e_headers, (
+            f"{where}: headers diverge: {s_headers} != {e_headers}")
+        assert s_body == e_body, (
+            f"{where}: bodies diverge ({len(s_body)} vs {len(e_body)} "
+            f"bytes)")
 
 
 def fresh_app(store_root):
@@ -106,49 +138,39 @@ def fresh_app(store_root):
 
 
 @pytest.fixture()
-def thread_address(populated_store):
-    server = make_server(fresh_app(populated_store.root), "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server.server_address[:2]
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture()
 def asyncio_address(populated_store):
     handle = aserve.start_in_thread(fresh_app(populated_store.root))
     yield handle.address
     handle.stop()
 
 
-def test_bridges_serve_identical_bytes(
-    populated_store, thread_address, asyncio_address
-):
+def test_bridges_serve_identical_bytes(populated_store, asyncio_address):
     corpus = build_corpus(populated_store)
-    via_thread = replay(thread_address, corpus)
-    via_asyncio = replay(asyncio_address, corpus)
-    for index, entry in enumerate(corpus):
-        method, target, _headers = entry
-        t_status, t_headers, t_body = via_thread[index]
-        a_status, a_headers, a_body = via_asyncio[index]
-        where = f"corpus[{index}] {method} {target}"
-        assert t_status == a_status, (
-            f"{where}: status {t_status} (thread) != {a_status} (asyncio)")
-        assert t_headers == a_headers, (
-            f"{where}: headers diverge: {t_headers} != {a_headers}")
-        assert t_body == a_body, (
-            f"{where}: bodies diverge ({len(t_body)} vs {len(a_body)} "
-            f"bytes)")
+    assert_identical(
+        corpus, replay(asyncio_address, corpus),
+        reference(fresh_app(populated_store.root), corpus))
 
 
-def test_corpus_exercises_every_contract_path(
-    populated_store, thread_address, asyncio_address
-):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_workers_serve_identical_bytes(populated_store, tmp_path):
+    """``--workers 2``: every connection, whichever worker accepts it,
+    answers what a bare app with the CLI's defaults answers."""
+    root = populated_store.root
+    defaults = build_parser().parse_args(["serve", "--store", root])
+    expected_app = aserve.default_app_factory(
+        root, rate=defaults.rate, burst=defaults.burst)()
+    corpus = build_corpus(populated_store, hammer=False)
+    expected = reference(expected_app, corpus)
+    with cli_server(root, tmp_path / "port", "--workers", "2") as port:
+        for _ in range(4):  # fresh connections, spread by accept
+            assert_identical(
+                corpus, replay(("127.0.0.1", port), corpus), expected)
+
+
+def test_corpus_exercises_every_contract_path(populated_store):
     """The identity assertion is only as strong as the corpus."""
     corpus = build_corpus(populated_store)
-    observed = replay(thread_address, corpus)
+    observed = reference(fresh_app(populated_store.root), corpus)
     statuses = {status for status, _headers, _body in observed}
     assert {200, 304, 400, 404, 405, 429} <= statuses
     encodings = {
@@ -161,8 +183,3 @@ def test_corpus_exercises_every_contract_path(
         for status, headers, _body in observed if status == 429
     ]
     assert retry_after, "the hammer block never tripped the rate limit"
-    # and the asyncio bridge must agree on that 429 pattern exactly
-    via_asyncio = replay(asyncio_address, corpus)
-    assert [status for status, _h, _b in via_asyncio] == [
-        status for status, _h, _b in observed
-    ]

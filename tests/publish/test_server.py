@@ -14,7 +14,8 @@ import pytest
 from repro.obs.clock import FakeClock
 from repro.obs.export import parse_prometheus_text
 from repro.obs.metrics import MetricsRegistry
-from repro.publish.server import PublishApp, make_server
+from repro.publish import aserve
+from repro.publish.server import PublishApp
 from tests.publish.conftest import address_artifact, day_addresses
 
 
@@ -251,14 +252,11 @@ class TestMetrics:
 
 class TestRealServer:
     def test_over_a_real_socket(self, app):
-        import threading
         import urllib.error
         import urllib.request
 
-        server = make_server(app, host="127.0.0.1", port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        handle = aserve.start_in_thread(app)
+        port = handle.port
         try:
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/v1/latest/responsive"
@@ -277,9 +275,7 @@ class TestRealServer:
                 status = error.code
             assert status == 304
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            handle.stop()
 
 
 class TestZeroCompressionServing:

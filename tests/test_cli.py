@@ -223,53 +223,58 @@ class TestRuntimeFlags:
 
 class TestServeCommand:
     def test_serve_end_to_end(self, tmp_path):
-        """The default (asyncio) backend serves over a real socket and
-        exits cleanly on SIGTERM."""
-        import os
-        import pathlib
-        import signal
-        import subprocess
-        import sys
-        import time
+        """The default (one in-process event loop) serves over a real
+        socket and exits cleanly on SIGTERM."""
         import urllib.request
 
         from repro.publish.store import SnapshotStore
+        from tests.publish.conftest import cli_server
 
         store_dir = tmp_path / "store"
         SnapshotStore(str(store_dir)).commit(0, {"responsive": "::1\n"})
-
-        port_file = tmp_path / "port"
-        repo_root = pathlib.Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        ).rstrip(os.pathsep)
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--store", str(store_dir), "--port", "0",
-             "--port-file", str(port_file)],
-            env=env, cwd=str(repo_root),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            for _ in range(200):
-                if port_file.exists() and port_file.read_text().strip():
-                    break
-                assert process.poll() is None, "serve exited prematurely"
-                time.sleep(0.05)
-            port = int(port_file.read_text())
+        with cli_server(str(store_dir), tmp_path / "port") as port:
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/v1/latest/responsive", timeout=5
             ) as response:
                 assert response.read() == b"::1\n"
                 assert response.headers["ETag"].startswith('"')
-        finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                assert process.wait(timeout=10) == 0
-            except subprocess.TimeoutExpired:
-                process.kill()
-                raise
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--workers", "0", "argument --workers: must be >= 1, got 0"),
+        ("--rate", "-1", "argument --rate: must be > 0, got -1"),
+        ("--rate", "0", "argument --rate: must be > 0, got 0"),
+        ("--burst", "0.5", "argument --burst: must be >= 1, got 0.5"),
+        ("--cache-mb", "-1", "argument --cache-mb: must be >= 0, got -1"),
+    ])
+    def test_bad_serve_flag_is_a_usage_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        """A bad flag fails at parse time, before the store is opened."""
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", flag, value, "--store", str(store_dir)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["--store", "missing"], "missing"),
+        (["--store", "empty"], "empty"),
+        ([], "publish-store"),
+    ])
+    def test_serve_needs_an_existing_store(
+        self, tmp_path, capsys, monkeypatch, argv, shown
+    ):
+        """A missing path or an empty directory is not a store, and
+        serving it creates nothing (the default path included)."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", *argv])
+        assert exit_info.value.code == 2
+        assert f"argument --store: {shown} is not a snapshot store" in (
+            capsys.readouterr().err)
+        assert [path.name for path in tmp_path.rglob("*")] == ["empty"]
 
     def test_simulate_publish_dir_writes_a_store(self, tmp_path):
         from repro.publish.store import SnapshotStore
