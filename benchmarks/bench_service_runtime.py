@@ -35,7 +35,7 @@ from repro.simnet import build_internet, default_config, small_config
 PRESETS = {"small": small_config, "default": default_config}
 
 
-def run_once(preset: str, days_cap: int | None, scan_workers: int) -> tuple[float, int]:
+def run_once(preset: str, days_cap: int | None) -> tuple[float, int]:
     config = PRESETS[preset]()
     days = default_scan_days(config.final_day)
     if days_cap is not None:
@@ -44,7 +44,6 @@ def run_once(preset: str, days_cap: int | None, scan_workers: int) -> tuple[floa
     settings = ServiceSettings(
         gfw_filter_deploy_day=config.gfw_filter_deploy_day,
         trace_sample_rate=0.5 if preset == "default" else 1.0,
-        scan_workers=scan_workers,
     )
     service = HitlistService(world, config, settings=settings)
     start = time.perf_counter()
@@ -54,8 +53,7 @@ def run_once(preset: str, days_cap: int | None, scan_workers: int) -> tuple[floa
     responders = len(frozenset().union(*final.responders.values()))
     print(
         f"service_runtime[{preset}]: {len(days)} scans, "
-        f"{responders} final responders, wall={wall:.2f}s "
-        f"(scan_workers={scan_workers})"
+        f"{responders} final responders, wall={wall:.2f}s"
     )
     return wall, len(days)
 
@@ -82,20 +80,19 @@ def main(argv: list[str] | None = None) -> int:
         "--days", type=int, default=None,
         help="only run scan days <= this (default: full schedule)",
     )
-    parser.add_argument("--scan-workers", type=int, default=1)
     parser.add_argument(
         "--check-baseline", type=pathlib.Path, default=None,
         help="baseline JSON ({seconds, max_regression}); exit 1 on breach",
     )
     args = parser.parse_args(argv)
 
-    wall, scans = run_once(args.preset, args.days, args.scan_workers)
+    wall, scans = run_once(args.preset, args.days)
     scenario = args.preset if args.days is None else f"{args.preset}-{args.days}d"
     record_bench_time(
         f"service_runtime_{args.preset}",
         wall,
         scenario=scenario,
-        extra={"scan_workers": args.scan_workers, "scans": scans},
+        extra={"scans": scans},
     )
     if args.check_baseline is not None:
         return check_baseline(args.check_baseline, wall)

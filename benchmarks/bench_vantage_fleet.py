@@ -51,11 +51,10 @@ from repro.simnet import build_internet, default_config
 from repro.vantage import VantageFleet, default_vantage_specs
 
 QNAME = "www.google.com"
-#: pre-GFW-deploy days, matching bench_parallel_scan; day 0 is the
-#: untimed warm-up that fills the shard-assignment memo on both sides
+#: pre-GFW-deploy days; day 0 is the untimed warm-up that fills the
+#: shard-assignment memo on both sides
 WARMUP_DAY = 0
 SCAN_DAYS = (8, 16, 24)
-CHUNK_SIZE = 4096
 #: alternating (single, fleet) pairs behind the wall-time median
 PAIRS = 5
 
@@ -63,10 +62,7 @@ PAIRS = 5
 def _targets():
     config = default_config()
     world = build_internet(config)
-    settings = ServiceSettings(
-        gfw_filter_deploy_day=config.gfw_filter_deploy_day,
-        scan_chunk_size=CHUNK_SIZE,
-    )
+    settings = ServiceSettings(gfw_filter_deploy_day=config.gfw_filter_deploy_day)
     service = HitlistService(world, config, settings=settings)
     service.bootstrap(WARMUP_DAY)
     return config, sorted(service._scan_pool)
@@ -79,25 +75,20 @@ def _measure(config, targets, vantages: int) -> tuple[float, int, dict]:
         world,
         default_vantage_specs(world, config.seed, vantages),
         seed=config.seed,
-        chunk_size=CHUNK_SIZE,
     )
-    try:
-        fleet.warm(len(targets))
-        fleet.scan(targets, WARMUP_DAY, QNAME)
-        outputs = {}
-        start = time.perf_counter()
-        for day in SCAN_DAYS:
-            results, udp53, report = fleet.scan(targets, day, QNAME)
-            outputs[day] = (
-                {p: frozenset(r.responders) for p, r in results.items()},
-                frozenset(udp53.responders),
-                None if report is None else report.to_json(),
-            )
-        wall = time.perf_counter() - start
-        probes = sum(scanner.probes_sent for scanner in fleet.scanners)
-        return wall, probes, outputs
-    finally:
-        fleet.close()
+    fleet.scan(targets, WARMUP_DAY, QNAME)
+    outputs = {}
+    start = time.perf_counter()
+    for day in SCAN_DAYS:
+        results, udp53, report = fleet.scan(targets, day, QNAME)
+        outputs[day] = (
+            {p: frozenset(r.responders) for p, r in results.items()},
+            frozenset(udp53.responders),
+            None if report is None else report.to_json(),
+        )
+    wall = time.perf_counter() - start
+    probes = sum(scanner.probes_sent for scanner in fleet.scanners)
+    return wall, probes, outputs
 
 
 def run_sweep(vantages: int) -> dict:

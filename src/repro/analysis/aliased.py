@@ -29,13 +29,6 @@ def _prefixes(aliases: Iterable) -> List[IPv6Prefix]:
     return [getattr(alias, "prefix", alias) for alias in aliases]
 
 
-def _alias_trie(prefixes: Iterable[IPv6Prefix]) -> PrefixTrie:
-    trie: PrefixTrie[bool] = PrefixTrie()
-    for prefix in prefixes:
-        trie[prefix] = True
-    return trie
-
-
 def origin_of(prefix: IPv6Prefix, rib: RibSnapshot) -> Optional[int]:
     """Origin AS of a detected prefix (LPM on its network address)."""
     return rib.origin_as(prefix.value)

@@ -205,9 +205,8 @@ def _run_pipeline(args: argparse.Namespace):
     # the baseline's value (the ServiceSettings default outside a
     # scenario context)
     overrides = {}
-    for attr in ("retry_attempts", "scan_workers", "scan_chunk_size",
-                 "vantages", "quorum", "scan_mode", "refresh_interval",
-                 "sample_rate"):
+    for attr in ("retry_attempts", "vantages", "quorum", "scan_mode",
+                 "refresh_interval", "sample_rate"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
@@ -571,15 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "fault plan")
         p.add_argument("--retry-attempts", type=int, dest="retry_attempts",
                        help="probe tries per target per scan (default: 1)")
-        p.add_argument("--scan-workers", type=int, dest="scan_workers",
-                       default=None, metavar="N",
-                       help="scan-engine worker processes for the probe "
-                            "stage (results are identical for any N)")
-        p.add_argument("--scan-chunk-size", type=int, dest="scan_chunk_size",
-                       default=None, metavar="TARGETS",
-                       help="targets per scan-engine chunk (default: 4096; "
-                            "scheduling knob only, results are identical "
-                            "for any value)")
         p.add_argument("--scan-mode", choices=("full", "incremental"),
                        dest="scan_mode", default=None,
                        help="'incremental' probes only churned/new/degraded/"

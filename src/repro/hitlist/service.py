@@ -166,12 +166,6 @@ class ServiceSettings:
     #: total tries per probe (1 = single-shot); extra attempts re-draw
     #: loss deterministically so transient loss does not look like churn.
     retry_attempts: int = 1
-    #: scan-engine worker processes for the probe stage (1 = inline);
-    #: results are bit-identical for any value (see repro.scan.engine)
-    scan_workers: int = 1
-    #: targets per scan-engine chunk; affects scheduling only, never
-    #: results
-    scan_chunk_size: int = 4096
     #: simulated vantage points scanning as a fleet (1 = the paper's
     #: single TUM vantage; >1 shards targets across AS-diverse members
     #: with quorum reconciliation, see repro.vantage)
@@ -417,8 +411,6 @@ class HitlistService:
             loss_rate=self.settings.loss_rate,
             quorum=self.settings.quorum,
             overlap=self.settings.vantage_overlap,
-            workers=self.settings.scan_workers,
-            chunk_size=self.settings.scan_chunk_size,
             blocklist=self.blocklist,
             fault_plan=fault_plan,
             retry=retry,
@@ -780,7 +772,7 @@ class HitlistService:
         # fleet of one hands straight to its engine.  Under incremental
         # scheduling the scheduler partitions the pool
         # fleet-globally (before sharding): only the probe set enters
-        # the mmap/packed-wire path, carried responders replay during
+        # the engine's chunk loop, carried responders replay during
         # the in-order merge, and absorb() folds probed outcomes back
         # into the priority state and re-attributes carried-injected
         # responders that the GFW filter saw without response objects.
@@ -997,48 +989,40 @@ class HitlistService:
             from repro.publish.store import SnapshotStore
 
             publish_store = SnapshotStore(publish_dir, metrics=self.metrics)
-        # fork the scan-worker pools once, before the campaign: every
-        # scan reuses the warm workers instead of paying fork latency
-        # per day
-        self.fleet.warm(len(self._scan_pool))
-        try:
+        day = pacer.next_day()
+        while day is not None:
+            snapshot = self.run_scan(
+                day, prev_day, force_full=pacer.is_final(day)
+            )
+            if not snapshot.stood_down:
+                # retention needs real scan data; during an outage the
+                # pending day waits for the next working scan
+                while retain_pending and day >= retain_pending[0]:
+                    self._retain(day)
+                    retain_pending.pop(0)
+                if publish_store is not None:
+                    with self.spans.span("publish", day=day):
+                        self._commit_publication(publish_store, day)
+            prev_day = day
+            pacer.advance(snapshot)
             day = pacer.next_day()
-            while day is not None:
-                snapshot = self.run_scan(
-                    day, prev_day, force_full=pacer.is_final(day)
-                )
-                if not snapshot.stood_down:
-                    # retention needs real scan data; during an outage the
-                    # pending day waits for the next working scan
-                    while retain_pending and day >= retain_pending[0]:
-                        self._retain(day)
-                        retain_pending.pop(0)
-                    if publish_store is not None:
-                        with self.spans.span("publish", day=day):
-                            self._commit_publication(publish_store, day)
-                prev_day = day
-                pacer.advance(snapshot)
-                day = pacer.next_day()
-                if (
-                    checkpoint_every
-                    and checkpoint_path is not None
-                    and (pacer.next_index % checkpoint_every == 0 or day is None)
-                ):
-                    from repro.runtime.checkpoint import checkpoint_service
+            if (
+                checkpoint_every
+                and checkpoint_path is not None
+                and (pacer.next_index % checkpoint_every == 0 or day is None)
+            ):
+                from repro.runtime.checkpoint import checkpoint_service
 
-                    start = self.clock.now()
-                    checkpoint_service(self, checkpoint_path, schedule=dict(
-                        pacer.state(),
-                        prev_day=prev_day,
-                        retain_pending=list(retain_pending),
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_path=checkpoint_path,
-                        publish_dir=publish_dir,
-                    ))
-                    self._m_ckpt_write.observe(self.clock.now() - start)
-        finally:
-            # the worker pools re-open lazily if the service runs again
-            self.fleet.close()
+                start = self.clock.now()
+                checkpoint_service(self, checkpoint_path, schedule=dict(
+                    pacer.state(),
+                    prev_day=prev_day,
+                    retain_pending=list(retain_pending),
+                    checkpoint_every=checkpoint_every,
+                    checkpoint_path=checkpoint_path,
+                    publish_dir=publish_dir,
+                ))
+                self._m_ckpt_write.observe(self.clock.now() - start)
         stash = getattr(self, "_last_scan_full", None)
         if stash is not None and stash[0] not in self.history.retained:
             self._retain(stash[0])

@@ -395,11 +395,6 @@ def _http_date_line() -> bytes:
     return _DATE_CACHE[1]
 
 
-def _http_date() -> str:
-    """The current RFC 7231 date string (tests use this)."""
-    return _http_date_line()[6:-2].decode("latin-1")
-
-
 # ---------------------------------------------------------------------------
 # running a server
 

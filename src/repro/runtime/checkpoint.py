@@ -449,14 +449,7 @@ def checkpoint_service(
         # dict *insertion* order (builder iteration), so the config must
         # round-trip order-preservingly
         "config": json.dumps(config_to_dict(service.config)),
-        # scan_workers / scan_chunk_size are host-execution tuning, not
-        # simulation state: results are bit-identical for any value, so
-        # baking them in would make equivalent runs differ byte-wise
-        "settings": {
-            key: value
-            for key, value in dataclasses.asdict(service.settings).items()
-            if key not in ("scan_workers", "scan_chunk_size")
-        },
+        "settings": dataclasses.asdict(service.settings),
         "fault_plan": (
             service.fault_plan.to_dict() if service.fault_plan is not None else None
         ),

@@ -1,4 +1,4 @@
-"""Batched, shard-parallel scan engine (the ZMap speed lesson).
+"""Batched scan engine (the ZMap speed lesson).
 
 The engine is the only prober in the package.  A per-target,
 per-protocol prober walks the ground truth once per protocol and looks
@@ -11,27 +11,19 @@ all of it into one pass:
   oriented ground-truth walk;
 * per-target SplitMix64 loss/retry/injection draws run as bulk big-int
   SIMD over 128-bit lanes (:mod:`repro.scan.vecmix`) instead of one
-  finalizer chain per target;
-* target chunks can be sharded across a warm ``concurrent.futures``
-  worker pool (opt-in via ``ServiceSettings.scan_workers`` /
-  ``--scan-workers``).
+  finalizer chain per target.
 
-The parallel path is built for cheap IPC: the target pool is published
-to the workers once per scan through a shared anonymous mmap written
-before the fork, tasks carry only ``(start, stop)`` index ranges, and each
-chunk returns a :class:`repro.scan.wire.PackedChunkResult` of integer-
-coded indices that the parent decodes during the in-order merge.  The
-pool is forked once (``warm()``) and stays warm across every scan of a
-campaign; each pool binds its scanner through the executor initializer,
-so two live engines in one process cannot clobber each other.
+A scan walks its targets in fixed chunks of :data:`DEFAULT_CHUNK_SIZE`,
+which bounds the per-chunk column memory.  Each chunk returns a
+:class:`repro.scan.wire.PackedChunkResult` of integer-coded target
+indices that the scan decodes in chunk order.
 
 Determinism contract (what checkpoint/resume and the deterministic
-metric families depend on): the chunk partition is fixed by
-``chunk_size`` alone, every chunk is a pure function of (scanner
+metric families depend on): every chunk is a pure function of (scanner
 configuration, targets, day, qname), and chunk results are merged in
 chunk order — so responder sets, metric counter totals, the
-control-domain NS log and checkpoint bytes are byte-identical for any
-worker count, including ``workers=1``.
+control-domain NS log and checkpoint bytes do not depend on where the
+chunk boundaries fall.
 """
 
 from __future__ import annotations
@@ -74,13 +66,10 @@ FAST_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP44
 #: every protocol of the fused scan, in metric-recording order
 _SCAN_PROTOCOLS = (*FAST_PROTOCOLS, Protocol.UDP53)
 
-#: default shard size; small enough to keep worker queues busy on the
-#: default scenario, large enough that per-chunk overhead is noise
+#: targets per scan chunk (and probes per APD wave group): small enough
+#: to bound per-chunk column memory, large enough that per-chunk
+#: overhead is noise
 DEFAULT_CHUNK_SIZE = 4096
-
-#: initial shared-pool capacity: 4 MiB holds 256k packed targets, so the
-#: default scenario never re-forks after the first sizing
-_MIN_POOL_BYTES = 1 << 22
 
 #: the two protocols of an APD spot check, in answer-mask bit order
 _APD_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80)
@@ -174,7 +163,7 @@ def _scan_chunk_packed(
     chunk covers pool positions ``base_index .. base_index +
     len(targets)``; all emitted indices are pool-global.  Only
     ``crosses_cache`` (a memo of the pure ``GfwBoundary.crosses``) is
-    mutated, so chunks can run in any process or thread.
+    mutated.
     """
     internet = scanner._internet
     plan = scanner._fault_plan
@@ -405,106 +394,32 @@ def _scan_chunk_packed(
     return result
 
 
-class _WorkerState:
-    """Per-worker bindings: scanner, shared target pool, scan-state memo.
-
-    Created by the parent and handed to every pool worker through the
-    executor initializer — under a fork start method the object is
-    inherited, never pickled, so it can carry the mmap.  Each engine's
-    pool gets its own instance, which is what lets two live engines in
-    one process shard correctly (no module-global scanner).
-    """
-
-    __slots__ = ("scanner", "pool", "ctx", "ctx_key", "crosses_cache")
-
-    def __init__(self, scanner: "ZMapScanner", pool) -> None:
-        self.scanner = scanner
-        #: packed target pool: an anonymous shared mmap (process pools)
-        #: or the packed bytes themselves (thread fallback)
-        self.pool = pool
-        self.ctx: Optional[_ScanContext] = None
-        self.ctx_key: Optional[Tuple[int, str]] = None
-        #: GfwBoundary.crosses memo — day-independent, lives for the
-        #: whole campaign
-        self.crosses_cache: Dict[Optional[int], bool] = {}
-
-
-#: the state bound into this *worker process* by the pool initializer;
-#: never set in the parent
-_WORKER_STATE: Optional[_WorkerState] = None
-
-
-def _init_worker(state: _WorkerState) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _worker_noop() -> None:
-    """Warm-up task: forces the executor to fork its workers now."""
-    time.sleep(0.01)
-
-
-def _scan_range(state: _WorkerState, task: Tuple[int, int, int, str, bool]) -> PackedChunkResult:
-    """Scan pool positions ``[start, stop)`` against the bound scanner."""
-    start, stop, day, qname, keep_scannable = task
-    targets = wire.unpack_pool(state.pool, start, stop)
-    key = (day, qname)
-    if state.ctx_key != key:
-        state.ctx = _ScanContext(state.scanner, day, qname)
-        state.ctx_key = key
-    return _scan_chunk_packed(
-        state.scanner, targets, start, day, qname, state.ctx,
-        keep_scannable, state.crosses_cache,
-    )
-
-
-def _worker_scan_range(task: Tuple[int, int, int, str, bool]) -> PackedChunkResult:
-    """Process-pool entry point; state was bound by :func:`_init_worker`."""
-    return _scan_range(_WORKER_STATE, task)
-
-
 class ScanEngine:
-    """Runs the fused five-protocol scan, optionally sharded over workers.
+    """Runs the fused five-protocol scan of one scanner, chunk by chunk.
 
-    ``workers=1`` (the default) runs chunks inline; larger values shard
-    ``(start, stop)`` ranges of a shared packed target pool over a warm
-    ``concurrent.futures`` pool — forked processes where the platform
-    supports it (workers inherit the simulated world copy-on-write),
-    threads otherwise.  Results are identical either way; see the module
-    docstring for the determinism contract.
+    See the module docstring for the determinism contract.
     """
 
     def __init__(
         self,
         scanner: "ZMapScanner",
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         vantage: Optional[str] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self._scanner = scanner
-        self._workers = workers
-        self._chunk_size = chunk_size
         self._tracer = tracer
         #: fleet member this engine scans for; labels its probe spans so
         #: traces of a multi-vantage campaign attribute chunk time
         self._vantage = vantage
         self._span_attrs = {"vantage": vantage} if vantage is not None else {}
-        self._executor = None
-        self._pool_mmap = None
-        self._pool_capacity = 0
-        self._thread_state: Optional[_WorkerState] = None
-        #: inline-path scan-state memo (mirrors _WorkerState's)
+        #: GfwBoundary.crosses memo — day-independent, lives for the
+        #: whole campaign
         self._crosses_cache: Dict[Optional[int], bool] = {}
         self._m_chunks = None
         if metrics is not None:
-            # volatile: the chunk count tracks scan_chunk_size, a host
-            # tuning knob that checkpoints deliberately do not carry
+            # volatile: the chunk count and durations describe how the
+            # scan was cut, not what it found
             self._m_chunks = metrics.counter(
                 "repro_engine_chunks_total",
                 "Fused scan chunks processed by the scan engine.",
@@ -515,96 +430,6 @@ class ScanEngine:
             self._m_chunk_seconds = metrics.histogram(
                 "repro_engine_chunk_seconds",
                 "Wall-clock duration per scan-engine chunk.", volatile=True)
-            # volatile: both track scan_workers, a host tuning knob
-            self._m_ipc_bytes = metrics.counter(
-                "repro_engine_ipc_bytes_total",
-                "Worker-pool IPC payload bytes: packed pool publications "
-                "plus packed chunk results.", volatile=True)
-            self._m_pool_forks = metrics.counter(
-                "repro_engine_pool_forks_total",
-                "Scan-engine worker processes started (pool creations x "
-                "workers; >workers means the shared pool was regrown).",
-                volatile=True)
-
-    @property
-    def workers(self) -> int:
-        """Configured worker count (1 = inline)."""
-        return self._workers
-
-    # ------------------------------------------------------------------
-    # worker pool
-
-    def warm(self, expected_targets: int = 0) -> None:
-        """Fork the worker pool now instead of lazily at the first scan.
-
-        Call once after world build with the expected pool size; the
-        shared target buffer is sized so campaign growth never forces a
-        mid-run re-fork.  Idempotent; a no-op for ``workers=1``.
-        """
-        if self._workers > 1:
-            self._ensure_executor(expected_targets * wire.TARGET_BYTES)
-
-    def _ensure_executor(self, min_pool_bytes: int = 0):
-        """The warm executor, (re)forking only when capacity grew."""
-        needed = max(min_pool_bytes, _MIN_POOL_BYTES)
-        if self._executor is not None and needed <= self._pool_capacity:
-            return self._executor
-        self.close()
-        capacity = 1 << (needed - 1).bit_length()
-        import multiprocessing
-        from concurrent.futures import (
-            ProcessPoolExecutor, ThreadPoolExecutor, wait,
-        )
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            import mmap
-
-            # anonymous MAP_SHARED memory created before the fork: the
-            # parent rewrites it between scans and every worker sees the
-            # new bytes without any per-chunk pickling
-            self._pool_mmap = mmap.mmap(-1, capacity)
-            state = _WorkerState(self._scanner, self._pool_mmap)
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(state,),
-            )
-            # force the forks now — back-to-back submits spawn the full
-            # complement before any worker turns idle, so the campaign
-            # never pays fork latency mid-scan
-            wait([
-                self._executor.submit(_worker_noop)
-                for _ in range(self._workers)
-            ])
-        else:  # pragma: no cover - non-fork platforms
-            self._thread_state = _WorkerState(self._scanner, b"")
-            self._executor = ThreadPoolExecutor(max_workers=self._workers)
-        self._pool_capacity = capacity
-        if self._m_chunks is not None:
-            self._m_pool_forks.inc(self._workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; pool re-opens on use)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        if self._pool_mmap is not None:
-            self._pool_mmap.close()
-            self._pool_mmap = None
-        self._thread_state = None
-        self._pool_capacity = 0
-
-    def _publish_pool(self, packed: bytes) -> None:
-        """Make this scan's packed target pool visible to all workers."""
-        self._ensure_executor(len(packed))
-        if self._pool_mmap is not None:
-            self._pool_mmap[0:len(packed)] = packed
-        else:  # pragma: no cover - non-fork platforms
-            self._thread_state.pool = packed
-        if self._m_chunks is not None:
-            self._m_ipc_bytes.inc(len(packed))
 
     # ------------------------------------------------------------------
     # scanning
@@ -617,7 +442,7 @@ class ScanEngine:
 
         Backs ``ZMapScanner.scan_all_protocols``.  Responder sets,
         metric totals, retry/burst accounting and the control-NS log are
-        identical for any ``workers``/``chunk_size``.
+        identical for any chunk size.
 
         ``carried`` (from the incremental scheduler) folds previously
         probed responders into the merged results without probing them:
@@ -648,7 +473,7 @@ class ScanEngine:
             plan.limits_protocol(protocol)
             for protocol in _SCAN_PROTOCOLS
         )
-        chunk_size = self._chunk_size
+        chunk_size = DEFAULT_CHUNK_SIZE
         ranges = [
             (start, min(start + chunk_size, len(targets)))
             for start in range(0, len(targets), chunk_size)
@@ -745,8 +570,7 @@ class ScanEngine:
 
         Rows stay packed (responses are built only when a caller reads
         one); control-domain NS log entries are collected here, in
-        target order, so the log is byte-compatible with any worker
-        count.
+        target order.
         """
         table.extend(chunk, targets)
         if not ctx.is_control:
@@ -775,59 +599,23 @@ class ScanEngine:
             self._m_chunk_seconds.observe if self._m_chunks is not None else None
         )
         results: List[PackedChunkResult] = []
-        if self._workers == 1 or len(ranges) <= 1:
-            for index, (start, stop) in enumerate(ranges):
-                began = time.perf_counter()
-                if tracer is not None:
-                    with tracer.span(
-                        "probe-chunk", day=day, chunk=index, **self._span_attrs
-                    ):
-                        results.append(_scan_chunk_packed(
-                            scanner, targets[start:stop], start, day, qname,
-                            ctx, limited, self._crosses_cache,
-                        ))
-                else:
-                    results.append(_scan_chunk_packed(
-                        scanner, targets[start:stop], start, day, qname,
-                        ctx, limited, self._crosses_cache,
-                    ))
-                if observe is not None:
-                    observe(time.perf_counter() - began)
-            return results
-
-        self._publish_pool(wire.pack_pool(targets))
-        tasks = [(start, stop, day, qname, limited) for start, stop in ranges]
-        # batch submission: the parent wakes up per task *batch*, not per
-        # chunk, and tiny (start, stop) tuples are all that gets pickled
-        map_chunksize = max(1, -(-len(tasks) // (self._workers * 4)))
-        if self._pool_mmap is not None:
-            outputs = self._executor.map(
-                _worker_scan_range, tasks, chunksize=map_chunksize
-            )
-        else:  # pragma: no cover - non-fork platforms
-            from functools import partial
-
-            outputs = self._executor.map(
-                partial(_scan_range, self._thread_state), tasks,
-                chunksize=map_chunksize,
-            )
-        ipc_bytes = 0
-        for index, result in enumerate(outputs):
-            # parent-side wait per chunk: overlapping worker time shows
-            # up as near-zero waits on all but the slowest chunk
+        for index, (start, stop) in enumerate(ranges):
             began = time.perf_counter()
             if tracer is not None:
                 with tracer.span(
                     "probe-chunk", day=day, chunk=index, **self._span_attrs
                 ):
-                    results.append(result)
+                    results.append(_scan_chunk_packed(
+                        scanner, targets[start:stop], start, day, qname,
+                        ctx, limited, self._crosses_cache,
+                    ))
             else:
-                results.append(result)
-            ipc_bytes += result.nbytes()
+                results.append(_scan_chunk_packed(
+                    scanner, targets[start:stop], start, day, qname,
+                    ctx, limited, self._crosses_cache,
+                ))
             if observe is not None:
                 observe(time.perf_counter() - began)
-        if self._m_chunks is not None:
-            self._m_ipc_bytes.inc(ipc_bytes)
         return results
 
 

@@ -9,14 +9,14 @@ flags) and partitions the pool each scan day into three classes:
 
 * **full-probe** prefixes — churned, new-from-sources, recently
   degraded, or due for a periodic refresh; probed end to end through
-  the mmap/packed-wire parallel path,
+  the scan engine,
 * **confirmation-sample** prefixes — stable prefixes drawn by a
   deterministic ``mix64``-seeded lottery at a configurable rate; also
   probed, and any contradiction with the carried state counts as a
   divergence repair and demotes the prefix back to full probing,
 * **carried-forward** prefixes — replayed from the carry store during
   the in-order merge, so snapshots, metrics, and checkpoint bytes stay
-  deterministic for any worker count.
+  deterministic across reruns and resumes.
 
 The scheduling unit is the /64 prefix: a prefix is wholly probed or
 wholly carried, which makes the tiling property (probed and carried

@@ -60,14 +60,6 @@ class YarrpTracer:
                 "repro_trace_hops_total",
                 "Distinct hop addresses discovered per traceroute run.")
 
-    def _sampled(self, target: int, day: int) -> bool:
-        if self._sample_rate >= 1.0:
-            return True
-        draw = mix64(
-            (target & 0xFFFFFFFFFFFFFFFF) ^ (target >> 64) ^ mix64(day ^ self._seed)
-        )
-        return draw < self._sample_threshold
-
     def trace_targets(self, targets: Iterable[int], day: int) -> TraceRunResult:
         """Traceroute every (sampled, non-blocked) target once.
 

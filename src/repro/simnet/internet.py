@@ -218,10 +218,6 @@ class SimInternet:
             return region
         return None
 
-    def host_of(self, address: int) -> Optional[HostRecord]:
-        """The ground-truth host assigned to ``address``, if any."""
-        return self.hosts.get(address)
-
     # ------------------------------------------------------------------
     # probing
 

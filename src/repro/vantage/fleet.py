@@ -17,8 +17,8 @@ The coordinator shards the target pool by rendezvous hashing: every
 target carries a deterministic preference ranking over all vantages,
 its *owner* is the highest-ranked live member, and when the owner is
 down the target automatically re-shards to the next-ranked survivor —
-no rebalancing state, no migration, identical answers for any worker
-count.  A deterministic ``overlap`` fraction of targets are *witness*
+no rebalancing state, no migration, identical answers on every
+rerun.  A deterministic ``overlap`` fraction of targets are *witness*
 targets probed by a small panel of vantages; their disagreeing verdicts
 are reconciled by a configurable quorum (strict / majority / any, see
 :mod:`repro.vantage.quorum`) and exported as per-vantage disagreement
@@ -188,8 +188,6 @@ class VantageFleet:
         loss_rate: float = 0.03,
         quorum: str = "majority",
         overlap: float = DEFAULT_OVERLAP,
-        workers: int = 1,
-        chunk_size: int = 4096,
         blocklist=None,
         fault_plan=None,
         retry=None,
@@ -251,8 +249,7 @@ class VantageFleet:
             self.plans.append(plan)
             self.scanners.append(scanner)
             self.engines.append(ScanEngine(
-                scanner, workers=workers, chunk_size=chunk_size,
-                metrics=metrics, tracer=tracer, vantage=label,
+                scanner, metrics=metrics, tracer=tracer, vantage=label,
             ))
 
         # durable fleet survival state — rides in checkpoints
@@ -308,19 +305,6 @@ class VantageFleet:
                 f"fault plan names unknown vantage(s) "
                 f"{', '.join(unknown)}; {hint}"
             )
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def warm(self, expected_targets: int = 0) -> None:
-        """Fork every member's worker pool before the campaign."""
-        for engine in self.engines:
-            engine.warm(expected_targets)
-
-    def close(self) -> None:
-        """Shut down all member pools (idempotent)."""
-        for engine in self.engines:
-            engine.close()
 
     # ------------------------------------------------------------------
     # survival state
@@ -519,8 +503,8 @@ class VantageFleet:
         single-engine :meth:`~repro.scan.engine.ScanEngine.
         scan_all_protocols` output plus a :class:`FleetScanReport`.  A
         fleet of one hands the scan straight to its engine and reports
-        None.  Deterministic for any (worker count x vantage count x fault
-        schedule): targets are walked in sorted order, vantages in spec
+        None.  Deterministic for any (vantage count x fault schedule):
+        targets are walked in sorted order, vantages in spec
         order, and every reconciliation decision is a pure function of
         the per-vantage responder sets.
 

@@ -22,6 +22,7 @@ from repro.obs import deterministic_metrics, registry_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import DnsAnswer, DnsResponse, Protocol
 from repro.runtime.faults import FaultPlan, RateLimit
+from repro.scan import engine as engine_module
 from repro.scan.engine import ScanEngine
 from repro.scan.responses import ResponseTable
 from repro.scan.zmap import Udp53Result, ZMapScanner
@@ -33,7 +34,14 @@ from tests.gfw._cleaning_reference import clean_mapping
 from tests.scan._scanner_reference import ReferenceScanner
 
 QNAME = "www.google.com"
+#: below the engine's 4096, so every scan here builds its response table
+#: from several chunks
 CHUNK_SIZE = 512
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", CHUNK_SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +65,9 @@ def _era_day(world, mode):
     return era.start_day + 10
 
 
-def _scan(world, targets, day, qname=QNAME, **engine_kwargs):
-    engine = ScanEngine(ZMapScanner(world, seed=1), chunk_size=CHUNK_SIZE,
-                        **engine_kwargs)
-    try:
-        return engine.scan_all_protocols(targets, day, qname)[1]
-    finally:
-        engine.close()
+def _scan(world, targets, day, qname=QNAME):
+    engine = ScanEngine(ZMapScanner(world, seed=1))
+    return engine.scan_all_protocols(targets, day, qname)[1]
 
 
 def _clean(udp53, responses_of=None):
@@ -183,7 +187,7 @@ def test_rate_limited_rows_dropped(world, targets):
         RateLimit(asn=cn_asn, budget=50, protocols=int(Protocol.UDP53)),
     ))
     scanner = ZMapScanner(world, seed=1, fault_plan=plan)
-    engine = ScanEngine(scanner, chunk_size=CHUNK_SIZE)
+    engine = ScanEngine(scanner)
     udp53 = engine.scan_all_protocols(targets, day, QNAME)[1]
     assert len(udp53.responders) < len(unlimited.responders)
     assert set(udp53.responses) == udp53.responders
@@ -198,18 +202,15 @@ def test_three_vantage_fleet(config, targets):
     world = build_internet(config)
     fleet = VantageFleet(
         world, default_vantage_specs(world, config.seed, 3),
-        seed=config.seed, chunk_size=CHUNK_SIZE,
+        seed=config.seed,
     )
     day = _era_day(world, InjectionMode.A_RECORD)
-    try:
-        _results, udp53, report = fleet.scan(targets, day, QNAME)
-        # every merged row decodes to what some member heard for it
-        heard = [
-            engine.scan_all_protocols(targets, day, QNAME)[1].responses
-            for engine in fleet.engines
-        ]
-    finally:
-        fleet.close()
+    _results, udp53, report = fleet.scan(targets, day, QNAME)
+    # every merged row decodes to what some member heard for it
+    heard = [
+        engine.scan_all_protocols(targets, day, QNAME)[1].responses
+        for engine in fleet.engines
+    ]
     assert report.witness_targets
     assert set(udp53.responses) <= udp53.responders
     for responder, responses in udp53.responses.items():
@@ -218,13 +219,16 @@ def test_three_vantage_fleet(config, targets):
     assert view["injected_responders"]
 
 
-def test_scan_workers_invisible(world, targets):
+def test_chunk_partition_invisible(world, targets, monkeypatch):
+    """A table merged from many chunks equals the one-chunk table and
+    cleans identically."""
     day = _era_day(world, InjectionMode.TEREDO)
-    inline = _scan(world, targets, day, workers=1)
-    sharded = _scan(world, targets, day, workers=2)
-    assert sharded.responders == inline.responders
-    assert sharded.responses == inline.responses
-    assert assert_same_cleaning(sharded) == assert_same_cleaning(inline)
+    chunked = _scan(world, targets, day)
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", len(targets))
+    whole = _scan(world, targets, day)
+    assert chunked.responders == whole.responders
+    assert chunked.responses == whole.responses
+    assert assert_same_cleaning(chunked) == assert_same_cleaning(whole)
 
 
 def test_plain_mapping_rejected():
@@ -248,7 +252,7 @@ def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(DnsResponse, "__init__", counting_init)
-    engine = ScanEngine(ZMapScanner(world, seed=1), chunk_size=CHUNK_SIZE)
+    engine = ScanEngine(ZMapScanner(world, seed=1))
     udp53 = engine.scan_all_protocols(
         targets, _era_day(world, InjectionMode.A_RECORD), QNAME
     )[1]

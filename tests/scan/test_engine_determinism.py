@@ -1,13 +1,19 @@
-"""Scan-engine determinism: worker count must be invisible in the output.
+"""Scan-engine determinism: chunk boundaries must be invisible in the output.
 
-The property under test (the engine's core contract): for any
-``scan_workers`` value, the service produces bit-identical scan
-snapshots, identical deterministic-metrics views, and byte-identical
-checkpoints — sharding chunks across a process pool only changes wall
-time, never results.
+The engine walks a scan's targets in fixed chunks of
+``repro.scan.engine.DEFAULT_CHUNK_SIZE`` (4096) and merges the chunk
+results in chunk order.  At 4096 the small preset's early scans are a
+single chunk each, so the multi-chunk merge is exercised here by
+shrinking the constant: for any chunk size the service must produce
+bit-identical scan snapshots, response tables, control-domain NS log,
+deterministic-metrics views and checkpoint bytes, and a kill-and-resume
+must finish identically.
+
+The ``workers`` tests keep the counts the engine's former process pool
+was checked at.  A pool of N workers split a scan into N shards; the
+in-process engine reproduces that partition by cutting the first scan's
+targets into N chunks (later scans are cut at the same chunk size).
 """
-
-import os
 
 import pytest
 
@@ -15,30 +21,82 @@ from repro.hitlist import HitlistService
 from repro.hitlist.history_io import history_summary
 from repro.hitlist.service import ServiceSettings
 from repro.obs import deterministic_metrics, registry_to_dict
-from repro.protocols import Protocol
 from repro.scan import ScanEngine
+from repro.scan import engine as engine_module
 from repro.simnet import build_internet, small_config
 
 SCAN_DAYS = list(range(0, 96, 8))
 WORKER_COUNTS = (1, 2, 4, 7)
-#: small enough to shard the small scenario's pool into many chunks
-CHUNK_SIZE = 256
+#: one-target chunks and a size that leaves a ragged last chunk
+SMALL_CHUNK_SIZES = (1, 7)
+#: checkpoints (scans) a killed run writes before it dies
+KILL_AFTER = 5
 
 
-def _build(config, workers):
-    settings = ServiceSettings(
-        gfw_filter_deploy_day=config.gfw_filter_deploy_day,
-        scan_workers=workers,
-        scan_chunk_size=CHUNK_SIZE,
+def _settings(config):
+    return ServiceSettings(gfw_filter_deploy_day=config.gfw_filter_deploy_day)
+
+
+def _campaign(config, checkpoint_dir):
+    """Every observable output of one checkpointed campaign.
+
+    Campaign qnames are not control names, so a last scan of the final
+    pool at a control name fills the control-domain NS log.
+    """
+    world = build_internet(config)
+    service = HitlistService(world, config, settings=_settings(config))
+    scan = service.engine.scan_all_protocols
+    tables = []
+
+    def recording_scan(targets, day, qname, carried=None):
+        results, udp53 = scan(targets, day, qname, carried)
+        tables.append((day, qname, dict(udp53.responses)))
+        return results, udp53
+
+    service.engine.scan_all_protocols = recording_scan
+    for stale in checkpoint_dir.iterdir():
+        stale.unlink()
+    history = service.run(
+        SCAN_DAYS, checkpoint_every=1, checkpoint_path=str(checkpoint_dir)
     )
-    return HitlistService(build_internet(config), config, settings=settings)
+    outputs = {
+        "snapshots": history.snapshots,
+        "summary": history_summary(history),
+        "retained": {
+            day: (kept.responders, kept.injected, kept.aliased_prefixes)
+            for day, kept in history.retained.items()
+        },
+        "tables": tables,
+        "metrics": deterministic_metrics(registry_to_dict(service.metrics)),
+        "checkpoints": {
+            path.name: path.read_bytes()
+            for path in sorted(checkpoint_dir.iterdir())
+        },
+        "chunks": service.metrics.counter_total("repro_engine_chunks_total"),
+    }
+    _results, control = scan(
+        sorted(service.scan_pool), SCAN_DAYS[-1], f"h3f1.{world.control_domain}"
+    )
+    outputs["control"] = (dict(control.responses), list(world.control_ns_log))
+    return outputs
 
 
-def _run(config, workers):
-    service = _build(config, workers)
-    history = service.run(SCAN_DAYS)
-    metrics = deterministic_metrics(registry_to_dict(service.metrics))
-    return history, metrics
+def _shard_size(reference, workers):
+    """The chunk size that cuts the first scan into ``workers`` chunks."""
+    return -(-reference["snapshots"][0].scan_target_count // workers)
+
+
+def _assert_same_outputs(outputs, reference, chunk_size):
+    # the run really was cut finer than the reference
+    assert outputs["chunks"] > reference["chunks"]
+    assert reference["control"][1], "the control scan logs NS queries"
+    for key in (
+        "snapshots", "summary", "retained", "tables", "control", "metrics",
+        "checkpoints",
+    ):
+        assert outputs[key] == reference[key], (
+            f"{key} differs at chunk size {chunk_size}"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -47,88 +105,80 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def reference(config):
-    """The single-worker run every other worker count must reproduce."""
-    return _run(config, workers=1)
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-def test_worker_count_invisible_in_results(config, reference, workers):
-    ref_history, ref_metrics = reference
-    history, metrics = _run(config, workers)
-
-    assert history.snapshots == ref_history.snapshots
-    assert history_summary(history) == history_summary(ref_history)
-    assert set(history.retained) == set(ref_history.retained)
-    for day in ref_history.retained:
-        assert history.retained[day].responders == ref_history.retained[day].responders
-        assert history.retained[day].injected == ref_history.retained[day].injected
-        assert (
-            history.retained[day].aliased_prefixes
-            == ref_history.retained[day].aliased_prefixes
-        )
-    assert metrics == ref_metrics
-
-
-@pytest.fixture(scope="module")
 def checkpoint_dir(tmp_path_factory):
-    """Shared across the worker parametrization so blobs can be compared."""
+    """One path for every run: the schedule embeds its checkpoint dir,
+    so runs writing to distinct paths would differ by design."""
     return tmp_path_factory.mktemp("engine-checkpoints")
 
 
+@pytest.fixture(scope="module")
+def reference(config, checkpoint_dir):
+    """The default-chunk campaign every other chunking must reproduce."""
+    return _campaign(config, checkpoint_dir)
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
+def test_worker_count_invisible_in_results(
+    config, checkpoint_dir, reference, monkeypatch, workers
+):
+    chunk_size = _shard_size(reference, workers)
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", chunk_size)
+    outputs = _campaign(config, checkpoint_dir)
+    _assert_same_outputs(outputs, reference, chunk_size)
+
+
+@pytest.mark.parametrize("chunk_size", SMALL_CHUNK_SIZES)
+def test_small_chunks_invisible_in_results(
+    config, checkpoint_dir, reference, monkeypatch, chunk_size
+):
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", chunk_size)
+    outputs = _campaign(config, checkpoint_dir)
+    _assert_same_outputs(outputs, reference, chunk_size)
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_checkpoint_bytes_worker_invariant(config, checkpoint_dir, workers, reference):
-    """Kill-and-resume checkpoints are byte-identical for any pool size."""
-    kill_after = 3
+def test_checkpoint_bytes_worker_invariant(
+    config, checkpoint_dir, reference, monkeypatch, workers
+):
+    """A run killed mid-campaign writes the reference's checkpoint bytes,
+    and resuming it finishes identically."""
+    monkeypatch.setattr(
+        engine_module, "DEFAULT_CHUNK_SIZE", _shard_size(reference, workers)
+    )
 
     class _Killed(Exception):
         pass
 
-    service = _build(config, workers)
+    service = HitlistService(build_internet(config), config, settings=_settings(config))
     original = service.run_scan
     executed = {"count": 0}
 
     def dying_run_scan(day, prev_day, force_full=False):
-        if executed["count"] == kill_after:
+        if executed["count"] == KILL_AFTER:
             raise _Killed()
         executed["count"] += 1
         return original(day, prev_day, force_full=force_full)
 
     service.run_scan = dying_run_scan
-    # every worker count writes to the SAME path: the schedule embeds
-    # its checkpoint dir, so distinct paths would differ by design
-    target = checkpoint_dir / "work"
-    if target.exists():
-        for stale in target.iterdir():
-            stale.unlink()
-    else:
-        target.mkdir()
+    for stale in checkpoint_dir.iterdir():
+        stale.unlink()
     with pytest.raises(_Killed):
-        service.run(SCAN_DAYS, checkpoint_every=1, checkpoint_path=str(target))
-    files = sorted(f for f in os.listdir(target) if f.endswith(".ckpt"))
-    assert len(files) == kill_after
-    blobs = [(name, (target / name).read_bytes()) for name in files]
-
-    marker = checkpoint_dir / "reference-checkpoints"
-    if not marker.exists():
-        marker.mkdir()
-        for name, blob in blobs:
-            (marker / name).write_bytes(blob)
-    else:
-        for name, blob in blobs:
-            assert (marker / name).read_bytes() == blob, (
-                f"checkpoint {name} differs at scan_workers={workers}"
-            )
-
-    # resuming the kill finishes the schedule bit-identically
-    resumed = HitlistService.resume(str(target / files[-1]))
-    ref_history, _ = reference
-    assert history_summary(resumed.run()) == history_summary(ref_history)
+        service.run(
+            SCAN_DAYS, checkpoint_every=1, checkpoint_path=str(checkpoint_dir)
+        )
+    written = sorted(path.name for path in checkpoint_dir.iterdir())
+    assert written == sorted(reference["checkpoints"])[:KILL_AFTER]
+    for name in written:
+        assert (checkpoint_dir / name).read_bytes() == reference["checkpoints"][name]
+    resumed = HitlistService.resume(str(checkpoint_dir / written[-1]))
+    assert history_summary(resumed.run()) == reference["summary"]
 
 
 def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
     """The fused pass answers UDP/53 from the same probe_batch_arrays walk."""
-    service = _build(config, workers=1)
+    chunk_size = 256
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", chunk_size)
+    service = HitlistService(build_internet(config), config, settings=_settings(config))
     service.bootstrap(0)
     targets = list(service._scan_pool)
     scanner = service.scanner
@@ -147,59 +197,8 @@ def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
         scanner._internet, "dns_probe",
         lambda *a, **k: pytest.fail("engine must not re-walk via dns_probe"),
     )
-    engine = ScanEngine(scanner, workers=1, chunk_size=CHUNK_SIZE)
+    engine = ScanEngine(scanner)
     results, udp = engine.scan_all_protocols(targets, 0, "www.google.com")
-    expected_chunks = -(-len(targets) // CHUNK_SIZE)
+    expected_chunks = -(-len(targets) // chunk_size)
     assert calls["probe_batch"] == expected_chunks
     assert udp.responders, "fused pass still finds UDP/53 responders"
-
-
-def test_two_live_engines_do_not_clobber(config):
-    """Two warm pools in one process each scan with their own scanner.
-
-    Regression guard for the module-global worker-scanner footgun: the
-    pool forked second used to capture whichever scanner the global held
-    last.  Scanners are bound per pool via the executor initializer now,
-    so interleaved parallel scans from two engines must each reproduce
-    their own single-worker reference.
-    """
-    service_a = _build(config, workers=1)
-    settings_b = ServiceSettings(
-        gfw_filter_deploy_day=config.gfw_filter_deploy_day,
-        scan_workers=1,
-        scan_chunk_size=CHUNK_SIZE,
-        retry_attempts=3,  # makes scanner B's draws observably different
-    )
-    service_b = HitlistService(build_internet(config), config, settings=settings_b)
-    service_a.bootstrap(0)
-    service_b.bootstrap(0)
-    targets_a = list(service_a._scan_pool)
-    targets_b = list(service_b._scan_pool)
-    qname = "www.google.com"
-
-    engines = [
-        ScanEngine(service_a.scanner, workers=2, chunk_size=CHUNK_SIZE),
-        ScanEngine(service_b.scanner, workers=2, chunk_size=CHUNK_SIZE),
-        ScanEngine(service_a.scanner, workers=1, chunk_size=CHUNK_SIZE),
-        ScanEngine(service_b.scanner, workers=1, chunk_size=CHUNK_SIZE),
-    ]
-    par_a, par_b, ref_a, ref_b = engines
-    try:
-        par_a.warm(len(targets_a))
-        par_b.warm(len(targets_b))
-        for day in (0, 8):
-            got_a, udp_a = par_a.scan_all_protocols(targets_a, day, qname)
-            got_b, udp_b = par_b.scan_all_protocols(targets_b, day, qname)
-            want_a, udp_ref_a = ref_a.scan_all_protocols(targets_a, day, qname)
-            want_b, udp_ref_b = ref_b.scan_all_protocols(targets_b, day, qname)
-            assert got_a == want_a
-            assert got_b == want_b
-            assert udp_a.responders == udp_ref_a.responders
-            assert udp_a.responses == udp_ref_a.responses
-            assert udp_b.responders == udp_ref_b.responders
-            assert udp_b.responses == udp_ref_b.responses
-            # the guard only has teeth if the two scanners disagree
-            assert udp_a.responders != udp_b.responders
-    finally:
-        for engine in engines:
-            engine.close()

@@ -1,10 +1,10 @@
 """Incremental-scheduler determinism and partition properties.
 
 The scheduler's contract: under ``scan_mode="incremental"`` the service
-produces the same bytes for any worker count and across kill-and-resume
-(priority and carry state ride in checkpoints), and every scan day's
-plan tiles the pool exactly — each address is either probed or carried,
-never both, never neither.
+produces the same bytes however the engine chunks its scans and
+across kill-and-resume (priority and carry state ride in checkpoints),
+and every scan day's plan tiles the pool exactly — each address is
+either probed or carried, never both, never neither.
 """
 
 import pytest
@@ -14,29 +14,30 @@ from repro.hitlist import HitlistService
 from repro.hitlist.history_io import history_summary
 from repro.hitlist.service import ServiceSettings
 from repro.obs import deterministic_metrics, registry_to_dict
+from repro.scan import engine as engine_module
 from repro.scan.scheduler import IncrementalScheduler
 from repro.simnet import build_internet, small_config
 
 SCAN_DAYS = list(range(0, 96, 8))
+#: shard counts the engine's former process pool was checked at; a scan
+#: cut into N chunks is the partition N workers shared
 WORKER_COUNTS = (1, 2, 4)
-CHUNK_SIZE = 256
 
 
-def _build(config, workers=1):
+def _build(config):
     settings = ServiceSettings(
         gfw_filter_deploy_day=config.gfw_filter_deploy_day,
-        scan_workers=workers,
-        scan_chunk_size=CHUNK_SIZE,
         scan_mode="incremental",
     )
     return HitlistService(build_internet(config), config, settings=settings)
 
 
-def _run(config, workers):
-    service = _build(config, workers)
+def _run(config):
+    service = _build(config)
     history = service.run(SCAN_DAYS)
     metrics = deterministic_metrics(registry_to_dict(service.metrics))
-    return history, metrics
+    chunks = service.metrics.counter_total("repro_engine_chunks_total")
+    return history, metrics, chunks
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +47,13 @@ def config():
 
 @pytest.fixture(scope="module")
 def reference(config):
-    """The single-worker incremental run every variant must reproduce."""
-    return _run(config, workers=1)
+    """The default-chunk incremental run every variant must reproduce."""
+    return _run(config)
 
 
 def test_scheduler_engages(reference):
     """The campaign actually carries targets (the run is incremental)."""
-    history, _ = reference
+    history, _, _ = reference
     carried = sum(s.metrics.get("sched_carried", 0) for s in history.snapshots)
     assert carried > 0
     # probed counts are recorded and, at steady state, below pool size
@@ -63,10 +64,13 @@ def test_scheduler_engages(reference):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-def test_worker_count_invisible_in_results(config, reference, workers):
-    ref_history, ref_metrics = reference
-    history, metrics = _run(config, workers)
+def test_worker_count_invisible_in_results(config, reference, monkeypatch, workers):
+    ref_history, ref_metrics, ref_chunks = reference
+    first_scan = ref_history.snapshots[0].scan_target_count
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", -(-first_scan // workers))
+    history, metrics, chunks = _run(config)
 
+    assert chunks > ref_chunks
     assert history.snapshots == ref_history.snapshots
     assert history_summary(history) == history_summary(ref_history)
     assert set(history.retained) == set(ref_history.retained)
@@ -105,7 +109,7 @@ def test_kill_and_resume_bit_identical(config, reference, tmp_path):
     assert resumed.scheduler._prefixes
     assert resumed.scheduler._scan_index == kill_after
 
-    ref_history, _ = reference
+    ref_history, _, _ = reference
     assert history_summary(resumed.run()) == history_summary(ref_history)
 
 
@@ -153,8 +157,8 @@ def test_plans_tile_the_pool(config):
         # probe groups re-tile the probe set exactly
         grouped = [a for _, members in plan.probe_groups for a in members]
         assert sorted(grouped) == sorted(plan.probe_targets)
-        # the probe list is globally sorted: shard boundaries are
-        # deterministic for any worker count
+        # the probe list is globally sorted: chunk boundaries are
+        # deterministic
         assert plan.probe_targets == sorted(plan.probe_targets)
         assert plan.carried == sorted(plan.carried)
         seen["plans"] += 1

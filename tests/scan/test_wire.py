@@ -1,24 +1,8 @@
-"""Property tests: the packed chunk wire format round-trips bit-exactly."""
-
-import pickle
-from array import array
+"""Property tests: the packed chunk format's bitmask rows round-trip bit-exactly."""
 
 from hypothesis import given, strategies as st
 
 from repro.scan import wire
-from repro.scan.wire import PackedChunkResult
-
-u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
-u128 = st.integers(min_value=0, max_value=(1 << 128) - 1)
-
-
-@given(st.lists(u128, max_size=200), st.data())
-def test_pool_pack_unpack_roundtrip(targets, data):
-    packed = wire.pack_pool(targets)
-    assert len(packed) == wire.TARGET_BYTES * len(targets)
-    start = data.draw(st.integers(0, len(targets)))
-    stop = data.draw(st.integers(start, len(targets)))
-    assert wire.unpack_pool(packed, start, stop) == targets[start:stop]
 
 
 @given(st.lists(st.booleans(), max_size=200))
@@ -27,56 +11,3 @@ def test_bitmask_roundtrip(flags):
     indices = list(wire.iter_bitmask(mask, len(flags)))
     assert indices == [i for i, flag in enumerate(flags) if flag]
     assert indices == sorted(indices)
-
-
-@st.composite
-def chunk_results(draw):
-    """Structurally arbitrary PackedChunkResult (round-trip is structural)."""
-    result = PackedChunkResult()
-    result.count = draw(st.integers(0, 1 << 20))
-    result.burst_targets = draw(st.integers(0, 1 << 10))
-    result.fast_retry_draws = draw(st.integers(0, 1 << 16))
-    result.udp_retry_draws = draw(st.integers(0, 1 << 16))
-    for idx in result.fast_idx:
-        idx.extend(draw(st.lists(u64, max_size=40)))
-    hits = draw(st.lists(st.tuples(u64, st.integers(0, 255)), max_size=40))
-    for index, meta in hits:
-        result.udp_idx.append(index)
-        result.udp_meta.append(meta)
-    result.inj_counts.extend(draw(st.lists(st.integers(0, 500), max_size=20)))
-    result.inj_answers.extend(draw(st.lists(u64, max_size=60)))
-    result.inj_wide = draw(st.booleans())
-    if draw(st.booleans()):
-        result.scannable_bits = wire.pack_bitmask(
-            draw(st.lists(st.booleans(), max_size=64))
-        )
-    return result
-
-
-@given(chunk_results())
-def test_packed_chunk_result_pickle_roundtrip(result):
-    clone = pickle.loads(pickle.dumps(result))
-    assert clone == result
-    assert clone.count == result.count
-    assert [list(i) for i in clone.fast_idx] == [list(i) for i in result.fast_idx]
-    assert list(clone.udp_idx) == list(result.udp_idx)
-    assert bytes(clone.udp_meta) == bytes(result.udp_meta)
-    assert list(clone.inj_counts) == list(result.inj_counts)
-    assert list(clone.inj_answers) == list(result.inj_answers)
-    assert clone.inj_wide == result.inj_wide
-    assert clone.scannable_bits == result.scannable_bits
-    # arrays must come back as arrays, not as shared or frozen bytes
-    assert isinstance(clone.udp_idx, array)
-    assert isinstance(clone.udp_meta, bytearray)
-
-
-@given(chunk_results())
-def test_nbytes_counts_the_payload(result):
-    total = result.nbytes()
-    assert total >= 32
-    payload = sum(len(idx) * 8 for idx in result.fast_idx)
-    payload += len(result.udp_idx) * 8 + len(result.udp_meta)
-    payload += len(result.inj_counts) * 2 + len(result.inj_answers) * 8
-    if result.scannable_bits is not None:
-        payload += len(result.scannable_bits)
-    assert total == 32 + payload

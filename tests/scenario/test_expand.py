@@ -266,6 +266,13 @@ class TestSettingsOverrides:
         with pytest.raises(ValueError, match="unknown field"):
             validate_settings_overrides({"bogus": 1})
 
+    @pytest.mark.parametrize("key", ["scan_workers", "scan_chunk_size"])
+    def test_removed_scan_knobs_rejected(self, key):
+        """The retired worker-pool settings fail at expansion, by name."""
+        source = MINIMAL + f"settings:\n  {key}: 2\n"
+        with pytest.raises(ValueError, match=rf"unknown field\(s\) \['{key}'\]"):
+            expand_source(source, name="old-knobs")
+
     def test_type_checks(self):
         with pytest.raises(ValueError, match="must be an int"):
             validate_settings_overrides({"vantages": "five"})

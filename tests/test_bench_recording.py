@@ -13,7 +13,7 @@ _spec.loader.exec_module(_perf)
 def test_sample_records_scale_and_revision(tmp_path, monkeypatch):
     monkeypatch.setattr(_perf, "RESULTS_DIR", tmp_path)
     path = _perf.record_bench_time("unit", 1.25, scenario="small-240d",
-                                   extra={"scan_workers": 2})
+                                   extra={"vantages": 3})
     data = json.loads(path.read_text())
     assert data["name"] == "unit"
     (sample,) = data["runs"]
@@ -23,7 +23,7 @@ def test_sample_records_scale_and_revision(tmp_path, monkeypatch):
         "address_scale": _perf.ADDRESS_SCALE,
         "prefix_scale": _perf.PREFIX_SCALE,
     }
-    assert sample["scan_workers"] == 2
+    assert sample["vantages"] == 3
     # measured inside the repo checkout, so the revision must resolve
     assert isinstance(sample["revision"], str) and sample["revision"]
 

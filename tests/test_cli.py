@@ -167,23 +167,22 @@ class TestRuntimeFlags:
             == (outdir / "responsive.txt").read_text()
         )
 
-    def test_scan_workers_flag_is_output_invisible(self, tmp_path, capsys):
-        """--scan-workers shards the probe stage without changing one bit."""
-        summaries = {}
-        for workers in ("1", "3"):
-            outdir = tmp_path / f"w{workers}"
-            assert main([
-                "simulate", "--preset", "small", "--seed", "3",
-                "--days", "40", "--interval", "10",
-                "--scan-workers", workers,
-                "-o", str(outdir),
-            ]) == 0
-            capsys.readouterr()
-            summaries[workers] = (
-                json.loads((outdir / "summary.json").read_text()),
-                (outdir / "responsive.txt").read_text(),
-            )
-        assert summaries["1"] == summaries["3"]
+    @pytest.mark.parametrize("flag,value", [
+        ("--scan-workers", "2"),
+        ("--scan-chunk-size", "512"),
+    ])
+    def test_removed_scan_flags_are_usage_errors(
+        self, tmp_path, capsys, flag, value
+    ):
+        """The scan engine has no worker pool or chunk knob to set."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "simulate", "--preset", "small", "--days", "14",
+                flag, value, "-o", str(tmp_path / "out"),
+            ])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("vantages,faults,message", [
         ("1", "vp0:14-35", "vp0; a single vantage takes no vantage-scoped"),

@@ -3,15 +3,16 @@
 The contracts under test, independent of the service pipeline: a
 one-member fleet is the campaign's own vantage, bit-identical to a bare
 scan engine at the campaign seed with no fleet state, verdicts are
-invariant to worker count, dead members' shards re-home deterministically
-to the survivors, and the retry/backoff state round-trips through
-:meth:`VantageFleet.state_dict`.
+invariant to the engine's chunk size, dead members' shards re-home
+deterministically to the survivors, and the retry/backoff state
+round-trips through :meth:`VantageFleet.state_dict`.
 """
 
 import pytest
 
 from repro.obs import MetricsRegistry, registry_to_dict
 from repro.runtime.faults import FaultPlan, VantageDegradation, VantageOutage
+from repro.scan import engine as engine_module
 from repro.scan.engine import ScanEngine
 from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet, small_config
@@ -36,14 +37,12 @@ def targets(world):
     return sorted(world.ground_truth.get("initial_input"))[:2500]
 
 
-def _fleet(config, count, *, workers=1, fault_plan=None, quorum="majority"):
+def _fleet(config, count, *, fault_plan=None, quorum="majority"):
     world = build_internet(config)
     return VantageFleet(
         world,
         default_vantage_specs(world, config.seed, count),
         seed=config.seed,
-        workers=workers,
-        chunk_size=512,
         fault_plan=fault_plan,
         quorum=quorum,
     )
@@ -115,9 +114,7 @@ class TestSingleVantageEquivalence:
     def test_matches_bare_engine_bitwise(self, config, targets):
         """A one-member fleet is the plain engine at the campaign seed."""
         world = build_internet(config)
-        engine = ScanEngine(
-            ZMapScanner(world, seed=config.seed), chunk_size=512
-        )
+        engine = ScanEngine(ZMapScanner(world, seed=config.seed))
         ref_results, ref_udp = engine.scan_all_protocols(targets, DAY, QNAME)
 
         fleet = _fleet(config, 1)
@@ -155,12 +152,13 @@ class TestSingleVantageEquivalence:
 
 
 class TestMultiVantageScan:
-    def test_worker_count_invisible(self, config, targets):
+    def test_chunk_partition_invisible(self, config, targets, monkeypatch):
         baseline = None
-        for workers in (1, 4):
-            fleet = _fleet(config, 3, workers=workers)
+        # 512 cuts every member's shard into more than one chunk
+        for chunk_size in (engine_module.DEFAULT_CHUNK_SIZE, 512):
+            monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", chunk_size)
+            fleet = _fleet(config, 3)
             results, udp53, report = fleet.scan(targets, DAY, QNAME)
-            fleet.close()
             view = (
                 {p: r.responders for p, r in results.items()},
                 frozenset(udp53.responders),

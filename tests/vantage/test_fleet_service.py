@@ -6,7 +6,7 @@ publishes a reconciled hitlist that is byte-identical across reruns and
 across kill-and-resume — including kills mid-outage and mid-
 reconciliation — with per-vantage disagreement metrics in the summary
 and the Prometheus exposition.  Plus the determinism matrix: results
-must be invariant to worker count at every fleet size.
+must be invariant to the scan engine's chunk size at every fleet size.
 """
 
 import os
@@ -17,13 +17,15 @@ from repro.hitlist import DegradedReason, HitlistService, ServiceSettings
 from repro.hitlist.history_io import history_summary
 from repro.obs import deterministic_metrics, registry_to_dict, to_prometheus_text
 from repro.runtime.faults import FaultPlan, VantageOutage
+from repro.scan import engine as engine_module
 from repro.simnet import build_internet, small_config
 
 #: dense cadence so scans land inside outages and backoff windows
 SCAN_DAYS = list(range(0, 44, 4))
 
 VANTAGE_COUNTS = (1, 3, 5)
-WORKER_COUNTS = (1, 2, 4)
+#: the default, and a size that cuts every member's shard into chunks
+CHUNK_SIZES = (engine_module.DEFAULT_CHUNK_SIZE, 512)
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +58,18 @@ def fault_plan(config):
     return _fault_plan(config, 5)
 
 
-def _settings(config, vantages, workers=1, quorum="majority"):
+def _settings(config, vantages, quorum="majority"):
     return ServiceSettings(
         gfw_filter_deploy_day=config.gfw_filter_deploy_day,
         vantages=vantages,
         quorum=quorum,
-        scan_workers=workers,
-        scan_chunk_size=512,
     )
 
 
-def _run(config, vantages, workers=1, fault_plan=None):
+def _run(config, vantages, fault_plan=None):
     service = HitlistService(
         build_internet(config), config,
-        settings=_settings(config, vantages, workers),
+        settings=_settings(config, vantages),
         fault_plan=fault_plan,
     )
     history = service.run(SCAN_DAYS)
@@ -265,14 +265,15 @@ class TestDeterminismMatrix:
         return SCAN_DAYS[:4]
 
     @pytest.mark.parametrize("vantages", VANTAGE_COUNTS)
-    def test_workers_invisible_at_every_fleet_size(
-        self, config, vantages, matrix_days
+    def test_chunking_invisible_per_fleet_size(
+        self, config, vantages, matrix_days, monkeypatch
     ):
         reference = None
-        for workers in WORKER_COUNTS:
+        for chunk_size in CHUNK_SIZES:
+            monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", chunk_size)
             service = HitlistService(
                 build_internet(config), config,
-                settings=_settings(config, vantages, workers),
+                settings=_settings(config, vantages),
                 fault_plan=_fault_plan(config, vantages),
             )
             summary = history_summary(service.run(matrix_days))
