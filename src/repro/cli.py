@@ -10,7 +10,8 @@ Subcommands mirror how the paper's artefacts are used:
 * ``serve`` — serve a publication snapshot store (``--publish-dir``)
   over HTTP: full artifacts, deltas, prefix/ASN queries, ``/metrics``,
   from one asyncio event loop or ``--workers N`` forked ones;
-* ``config`` — dump a scenario configuration as JSON for editing.
+* ``config`` — dump a scenario configuration as JSON for editing;
+* ``scenario`` — list, show, expand or run (as ``pipeline``) a scenario.
 
 Run ``python -m repro.cli --help`` for details.
 """
@@ -21,7 +22,7 @@ import argparse
 import dataclasses
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.figures_csv import export_all_figures
 from repro.analysis.report import full_report
@@ -33,7 +34,7 @@ from repro.hitlist.export import (
     write_aliased_prefixes,
 )
 from repro.hitlist.history_io import save_history_summary
-from repro.hitlist.service import ServiceSettings
+from repro.hitlist.service import FixedSchedule, SelfPaced, ServiceSettings
 from repro.net.aggregate import merge_adjacent
 from repro.net.prefix import IPv6Prefix
 from repro.simnet import build_internet, default_config, small_config
@@ -106,17 +107,25 @@ def _resolve_config(args: argparse.Namespace):
     return config
 
 
-def _scan_days(args: argparse.Namespace, config, run=None) -> List[int]:
-    """The scan schedule: CLI flags override the scenario's ``run:``."""
-    until = (
-        getattr(args, "days", None)
-        or (run or {}).get("days")
-        or config.final_day
-    )
-    step = getattr(args, "interval", None) or (run or {}).get("interval")
+def _pacer(args: argparse.Namespace, config, probes_per_day, run):
+    """The campaign's pacer: CLI flags override the scenario's ``run:``.
+
+    With ``settings.probes_per_day`` set, each scan starts once the
+    previous one has finished (:class:`SelfPaced`): ``days`` is the last
+    day and ``interval`` the base interval.  Otherwise scans fall on a
+    :class:`FixedSchedule`.
+    """
+    until = args.days or run.get("days")
+    step = args.interval or run.get("interval")
+    if probes_per_day is not None:
+        return SelfPaced(probes_per_day, base_interval=step or 1, start_day=0,
+                         until_day=until or config.final_day)
+    until = until or config.final_day
     if step:
-        return list(range(0, until + 1, step))
-    return [day for day in default_scan_days(config.final_day) if day <= until]
+        return FixedSchedule(list(range(0, until + 1, step)))
+    return FixedSchedule(
+        [day for day in default_scan_days(config.final_day) if day <= until]
+    )
 
 
 def _parse_vantage_faults(spec: str):
@@ -170,56 +179,59 @@ def _load_faults(args: argparse.Namespace, base=None):
 
 
 def _run_pipeline(args: argparse.Namespace):
-    resume_path = getattr(args, "resume", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    checkpoint_every = getattr(args, "checkpoint_every", None) or (
-        1 if checkpoint_dir else None
-    )
+    resume_path = args.resume
+    checkpoint_dir = args.checkpoint_dir
+    checkpoint_every = args.checkpoint_every or (1 if checkpoint_dir else None)
     if checkpoint_dir:
         pathlib.Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-    publish_dir = getattr(args, "publish_dir", None)
+    context = _resolve_scenario_context(args)
     if resume_path:
-        # config, settings and fault plan come from the checkpoint
+        # config, settings, fault plan and pacer come from the checkpoint
         service = HitlistService.resume(resume_path)
+        if context is not None and context.config != service.config:
+            raise SystemExit(
+                f"--resume {resume_path}: the checkpoint's world config "
+                f"differs from scenario {context.name!r} ({args.config})"
+            )
         history = service.run(
             checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_dir,
-            publish_dir=publish_dir,
+            publish_dir=args.publish_dir,
         )
         return service.config, service.internet, history, service
-    context = _resolve_scenario_context(args)
     if context is not None:
         # scenario-context run: the artifact's config/settings/faults/run
         # are the baseline
         config = context.config
         settings = context.settings()
         fault_plan = _load_faults(args, base=context.fault_plan)
-        scan_days = _scan_days(args, config, run=context.run)
     else:
         config = _resolve_config(args)
         settings = ServiceSettings(
             gfw_filter_deploy_day=config.gfw_filter_deploy_day
         )
         fault_plan = _load_faults(args)
-        scan_days = _scan_days(args, config)
     # explicit CLI flags override the baseline; an omitted flag keeps
     # the baseline's value (the ServiceSettings default outside a
     # scenario context)
     overrides = {}
     for attr in ("retry_attempts", "vantages", "quorum", "scan_mode",
                  "refresh_interval", "sample_rate"):
-        value = getattr(args, attr, None)
+        value = getattr(args, attr)
         if value is not None:
             overrides[attr] = value
     settings = dataclasses.replace(settings, **overrides)
+    # built before the world, so a bad schedule fails in milliseconds
+    pacer = _pacer(args, config, settings.probes_per_day,
+                   context.run if context is not None else {})
     internet = build_internet(config)
     service = HitlistService(
         internet, config, settings=settings, fault_plan=fault_plan
     )
     history = service.run(
-        scan_days,
+        pacer=pacer,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_dir,
-        publish_dir=publish_dir,
+        publish_dir=args.publish_dir,
     )
     return config, internet, history, service
 
@@ -485,20 +497,16 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"scenario expansion failed: {error}", file=sys.stderr)
         return 1
-    config = expanded.config
-    internet = build_internet(config)
-    service = HitlistService(
-        internet, config,
-        settings=expanded.settings(),
-        fault_plan=expanded.fault_plan,
-    )
-    history = service.run(_scan_days(args, config, run=expanded.run))
     outdir = pathlib.Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    # the exact artifact this run executes, --seed override included;
+    # the run loads it back as `pipeline --config` would
+    artifact = outdir / "scenario-expanded.json"
+    artifact.write_text(artifact_to_json(expanded), encoding="ascii")
+    args.config = str(artifact)
+    config, internet, history, service = _run_pipeline(args)
     count, aliased, _ = _write_run_outputs(outdir, config, internet, history)
-    # the exact artifact this run executed, --seed override included
-    (outdir / "scenario-expanded.json").write_text(
-        artifact_to_json(expanded), encoding="ascii"
-    )
+    _write_observability(args, service)
     with open(outdir / "summary.json", "r", encoding="ascii") as handle:
         summary = json.load(handle)
     print(f"scenario {expanded.name!r}: wrote {count} responsive addresses, "
@@ -539,20 +547,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_world_args(p):
+    def add_world_selectors(p):
         p.add_argument("--preset", choices=("small", "default"), default="small",
                        help="scenario scale (default: small)")
         p.add_argument("--config", help="JSON scenario file (overrides preset)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--days", type=int,
-                       help="simulate only the first N days")
-        p.add_argument("--interval", type=int,
-                       help="fixed scan interval in days")
+
+    positive = _bounded(int, 1)
+
+    def add_run_flags(p):
+        p.add_argument("--days", type=positive,
+                       help="scan up to day N (with settings.probes_per_day: "
+                            "the self-paced campaign's last day)")
+        p.add_argument("--interval", type=positive,
+                       help="fixed scan interval in days (with "
+                            "settings.probes_per_day: the base interval)")
         p.add_argument("--faults",
                        help="JSON fault plan (outages, rate limits, loss "
                             "bursts, source failures) to inject")
-        p.add_argument("--vantages", type=int, dest="vantages", default=None,
-                       metavar="N",
+        p.add_argument("--vantages", type=positive, metavar="N",
                        help="simulated vantage points scanning as a fleet "
                             "(default: 1, the paper's single TUM vantage; "
                             ">1 shards targets across AS-diverse members "
@@ -568,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "'vid:START-END[,vid:START-END...]' (e.g. "
                             "'vp1:10-20,vp2:14-18'), merged into the "
                             "fault plan")
-        p.add_argument("--retry-attempts", type=int, dest="retry_attempts",
+        p.add_argument("--retry-attempts", type=positive,
                        help="probe tries per target per scan (default: 1)")
         p.add_argument("--scan-mode", choices=("full", "incremental"),
                        dest="scan_mode", default=None,
@@ -576,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "refresh-due prefixes plus confirmation samples "
                             "and carries stable prefixes forward "
                             "(default: full)")
-        p.add_argument("--refresh-interval", type=int, dest="refresh_interval",
-                       default=None, metavar="SCANS",
+        p.add_argument("--refresh-interval", type=positive, metavar="SCANS",
                        help="incremental mode: fully re-probe every stable "
                             "prefix at least every SCANS scans (default: 10)")
         p.add_argument("--sample-rate", type=float, dest="sample_rate",
@@ -588,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint-dir", dest="checkpoint_dir",
                        help="write per-scan state checkpoints to this "
                             "directory (created if missing)")
-        p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
+        p.add_argument("--checkpoint-every", type=positive,
                        help="checkpoint every N scans (default: 1 when "
                             "--checkpoint-dir is set)")
         p.add_argument("--resume", dest="resume",
@@ -611,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     # natural verb (`scenario expand` output feeds `pipeline --config`)
     for verb in ("simulate", "pipeline"):
         p_sim = sub.add_parser(verb, help="run the hitlist pipeline")
-        add_world_args(p_sim)
+        add_world_selectors(p_sim)
+        add_run_flags(p_sim)
         p_sim.add_argument("--output", "-o", default="repro-out",
                            help="output directory")
         p_sim.add_argument("--strict", action="store_true",
@@ -621,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate",
                             help="run the pipeline plus the Sec. 6 evaluation")
-    add_world_args(p_eval)
+    add_world_selectors(p_eval)
+    add_run_flags(p_eval)
     p_eval.add_argument("--output", "-o", default="repro-out",
                         help="output directory")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -644,9 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_desc = sub.add_parser("describe", help="summarize a built world")
-    p_desc.add_argument("--preset", choices=("small", "default"), default="small")
-    p_desc.add_argument("--config", help="JSON scenario file (overrides preset)")
-    p_desc.add_argument("--seed", type=int)
+    add_world_selectors(p_desc)
     p_desc.set_defaults(func=cmd_describe)
 
     p_srv = sub.add_parser("serve",
@@ -714,18 +726,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="expand a scenario, run its campaign and check its invariants")
     add_scenario_args(p_scn_run)
+    add_run_flags(p_scn_run)
     p_scn_run.add_argument("--output", "-o", default="repro-out",
                            help="output directory")
-    p_scn_run.add_argument("--days", type=int,
-                           help="override the scenario's run.days")
-    p_scn_run.add_argument("--interval", type=int,
-                           help="override the scenario's run.interval")
     p_scn_run.set_defaults(func=cmd_scenario_run)
 
     p_cfg = sub.add_parser("config", help="dump a scenario config as JSON")
-    p_cfg.add_argument("--preset", choices=("small", "default"), default="small")
-    p_cfg.add_argument("--config", help="round-trip an existing JSON config")
-    p_cfg.add_argument("--seed", type=int)
+    add_world_selectors(p_cfg)
     p_cfg.add_argument("--output", "-o", default="-")
     p_cfg.set_defaults(func=cmd_config)
 

@@ -1074,17 +1074,6 @@ class HitlistService:
             path, internet=internet, sources=sources, blocklist=blocklist
         )
 
-    def run_adaptive(
-        self, until_day: int, start_day: int = 0, base_interval: int = 1,
-        **run_options,
-    ) -> HitlistHistory:
-        """:meth:`run` with a :class:`SelfPaced` pacer at
-        ``settings.probes_per_day`` (required) over ``[start_day,
-        until_day]``; ``run_options`` are those of :meth:`run`."""
-        return self.run(pacer=SelfPaced(
-            self.settings.probes_per_day, base_interval, start_day, until_day
-        ), **run_options)
-
     def _retain(self, day: int) -> None:
         """Store full responder sets for the scan that just ran."""
         stashed = getattr(self, "_last_scan_full", None)

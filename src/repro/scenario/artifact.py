@@ -43,13 +43,14 @@ __all__ = [
     "is_expanded_artifact",
     "load_artifact",
     "make_settings",
+    "validate_run",
     "validate_settings_overrides",
 ]
 
 ARTIFACT_FORMAT = "repro-scenario-expanded/1"
 EXPANDER_VERSION = 1
 
-_RUN_KEYS = frozenset(("days", "interval"))
+_RUN_KEYS = ("days", "interval")
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,28 @@ def validate_settings_overrides(overrides: Mapping[str, Any]) -> Dict[str, Any]:
     return normalized
 
 
+def validate_run(run: Any) -> Dict[str, int]:
+    """Check a ``run:`` block: optional ``days`` and ``interval``, each
+    a positive int.
+
+    Both the ``.scn`` expander and :func:`artifact_from_dict` go through
+    here, so a bad block fails with the same message either way.
+    """
+    if not isinstance(run, Mapping):
+        raise ValueError("run: expected a mapping")
+    normalized: Dict[str, int] = {}
+    for key in sorted(run):
+        if key not in _RUN_KEYS:
+            raise ValueError(
+                f"run.{key}: unknown field; expected {'/'.join(_RUN_KEYS)}"
+            )
+        value = run[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"run.{key}: expected a positive int, got {value!r}")
+        normalized[key] = value
+    return normalized
+
+
 def make_settings(
     config: ScenarioConfig, overrides: Mapping[str, Any]
 ) -> ServiceSettings:
@@ -240,19 +263,7 @@ def artifact_from_dict(data: Mapping[str, Any]) -> ExpandedScenario:
     fault_plan = (
         FaultPlan.from_dict(faults_data) if faults_data is not None else None
     )
-    run_data = data.get("run") or {}
-    unknown_run = set(run_data) - _RUN_KEYS
-    if unknown_run:
-        raise ValueError(
-            f"run: unknown field(s) {sorted(unknown_run)}; "
-            f"expected {sorted(_RUN_KEYS)}"
-        )
-    run: Dict[str, int] = {}
-    for key in sorted(run_data):
-        value = run_data[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"run.{key} must be a positive int, got {value!r}")
-        run[key] = value
+    run = validate_run(data.get("run", {}))
     invariants = tuple(
         Invariant.from_dict(entry, where=f"invariants[{index}]")
         for index, entry in enumerate(data.get("invariants") or ())

@@ -36,6 +36,7 @@ from repro.scenario.artifact import (
     ExpandedScenario,
     artifact_from_dict,
     is_expanded_artifact,
+    validate_run,
     validate_settings_overrides,
 )
 from repro.scenario.invariants import Invariant
@@ -399,19 +400,7 @@ def expand_document(
     fault_plan = _expand_faults(document.get("faults"))
 
     # ---- run schedule -------------------------------------------------
-    run_section = document.get("run", {})
-    if not isinstance(run_section, dict):
-        raise ValueError("run: expected a mapping")
-    run: Dict[str, int] = {}
-    for key in sorted(run_section):
-        if key not in ("days", "interval"):
-            raise ValueError(
-                f"run.{key}: unknown field; expected days/interval"
-            )
-        value = run_section[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"run.{key}: expected a positive int, got {value!r}")
-        run[key] = value
+    run = validate_run(document.get("run", {}))
 
     # ---- invariants ---------------------------------------------------
     invariants_section = document.get("invariants", [])

@@ -22,7 +22,9 @@ def adaptive_history():
     service = HitlistService(world, config, settings=settings)
     # the pool grows from ~2.8 k to ~4.8 k targets over this window, so
     # scan runtime crosses from 2 to 3 days mid-run
-    return service.run_adaptive(until_day=200, base_interval=2)
+    return service.run(pacer=SelfPaced(
+        8_000, base_interval=2, start_day=0, until_day=200
+    ))
 
 
 class TestAdaptiveScheduling:
@@ -49,8 +51,10 @@ class TestAdaptiveScheduling:
         config = small_config(seed=41)
         world = build_internet(config)
         service = HitlistService(world, config)  # no probes_per_day
-        with pytest.raises(ValueError):
-            service.run_adaptive(until_day=10)
+        with pytest.raises(ValueError, match="settings.probes_per_day"):
+            service.run(pacer=SelfPaced(
+                service.settings.probes_per_day, 1, start_day=0, until_day=10
+            ))
 
     def test_final_state_retained(self, adaptive_history):
         assert adaptive_history.retained
@@ -66,7 +70,7 @@ class TestAdaptiveValidation:
             settings=ServiceSettings(probes_per_day=8_000),
         )
         with pytest.raises(ValueError, match="base_interval"):
-            service.run_adaptive(until_day=10, base_interval=0)
+            service.run(pacer=SelfPaced(8_000, 0, start_day=0, until_day=10))
 
     def test_negative_base_interval_rejected(self):
         config = small_config(seed=41)
@@ -75,7 +79,7 @@ class TestAdaptiveValidation:
             settings=ServiceSettings(probes_per_day=8_000),
         )
         with pytest.raises(ValueError, match="base_interval"):
-            service.run_adaptive(until_day=10, base_interval=-3)
+            service.run(pacer=SelfPaced(8_000, -3, start_day=0, until_day=10))
 
     def test_pacer_and_scan_days_are_exclusive(self, world41):
         config, world = world41
@@ -110,7 +114,9 @@ class TestStandDownRetention:
             settings=ServiceSettings(probes_per_day=8_000, retain_days=retain_days),
             fault_plan=FaultPlan(outages=(VantageOutage(start_day=10, end_day=14),)),
         )
-        history = service.run_adaptive(until_day=until_day, base_interval=2)
+        history = service.run(pacer=SelfPaced(
+            8_000, base_interval=2, start_day=0, until_day=until_day
+        ))
         stood_down = [s.day for s in history.snapshots if s.stood_down]
         working = [s.day for s in history.snapshots if not s.stood_down]
         assert stood_down, "the outage window produced no stood-down scan"
@@ -152,9 +158,10 @@ class TestSelfPacedKillAndResume:
             service.run_scan = dying_run_scan
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir(parents=True)
-        history = service.run_adaptive(
-            until_day=40, base_interval=2, checkpoint_every=1,
-            checkpoint_path=str(ckpt), publish_dir=str(tmp_path / "store"),
+        history = service.run(
+            pacer=SelfPaced(8_000, base_interval=2, start_day=0, until_day=40),
+            checkpoint_every=1, checkpoint_path=str(ckpt),
+            publish_dir=str(tmp_path / "store"),
         )
         return service, history
 
@@ -202,9 +209,9 @@ class TestCheckpointScheduleKeys:
         service = HitlistService(
             world, config, settings=ServiceSettings(probes_per_day=8_000)
         )
-        service.run_adaptive(
-            until_day=6, base_interval=2, checkpoint_every=1,
-            checkpoint_path=str(tmp_path / "c"),
+        service.run(
+            pacer=SelfPaced(8_000, base_interval=2, start_day=0, until_day=6),
+            checkpoint_every=1, checkpoint_path=str(tmp_path / "c"),
         )
         schedule = read_checkpoint(str(tmp_path / "c"))["schedule"]
         assert set(schedule) == self.LOOP_KEYS | {

@@ -12,7 +12,7 @@ import pytest
 from repro._util import mix64
 from repro.hitlist import HitlistService
 from repro.hitlist.history_io import history_summary
-from repro.hitlist.service import ServiceSettings
+from repro.hitlist.service import SelfPaced, ServiceSettings
 from repro.obs import deterministic_metrics, registry_to_dict
 from repro.scan import engine as engine_module
 from repro.scan.scheduler import IncrementalScheduler
@@ -198,16 +198,18 @@ def test_synthetic_pool_tiling_under_churn():
 
 
 def test_adaptive_rounds_reuse_scheduler_state(config):
-    """run_adaptive keeps priority state across rounds: once prefixes
-    stabilise, later rounds probe less than the pool and the cadence
-    recovers, instead of every round paying a cold full probe."""
+    """A self-paced campaign keeps priority state across rounds: once
+    prefixes stabilise, later rounds probe less than the pool and the
+    cadence recovers, instead of every round paying a cold full probe."""
     settings = ServiceSettings(
         gfw_filter_deploy_day=config.gfw_filter_deploy_day,
         scan_mode="incremental",
         probes_per_day=2_000_000,
     )
     service = HitlistService(build_internet(config), config, settings=settings)
-    history = service.run_adaptive(until_day=40, base_interval=2)
+    history = service.run(pacer=SelfPaced(
+        2_000_000, base_interval=2, start_day=0, until_day=40
+    ))
     snapshots = history.snapshots
     assert len(snapshots) >= 4
     # the first round is a cold full probe; by the late rounds the

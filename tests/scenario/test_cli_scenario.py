@@ -1,6 +1,7 @@
 """CLI-level scenario tests: verbs, artifact acceptance, seed override."""
 
 import json
+import re
 
 import pytest
 
@@ -168,3 +169,92 @@ def test_scenario_faults_must_name_fleet_members(tmp_path):
     )
     with pytest.raises(ValueError, match=r"unknown vantage\(s\) vp2, vp3;"):
         main(["scenario", "run", str(path), "--output", str(tmp_path / "o")])
+
+
+SELF_PACED = TINY.replace("run:\n", "settings:\n  probes_per_day: 2000\nrun:\n")
+
+
+def test_self_paced_artifact_runs_the_same_through_every_launcher(
+    tiny_scn, tmp_path
+):
+    """`settings.probes_per_day` selects self-pacing in `scenario run`
+    and `pipeline --config` alike, exactly as the library pacer does."""
+    import io
+
+    from repro.hitlist import HitlistService
+    from repro.hitlist.history_io import save_history_summary
+    from repro.hitlist.service import SelfPaced
+    from repro.scenario import load_artifact
+    from repro.simnet import build_internet
+
+    source = tmp_path / "paced.scn"
+    source.write_text(SELF_PACED, encoding="utf-8")
+    assert main(["scenario", "run", str(source), "-o", str(tmp_path / "scn")]) == 0
+    artifact = tmp_path / "scn" / "scenario-expanded.json"
+    assert main([
+        "pipeline", "--config", str(artifact), "-o", str(tmp_path / "pipe"),
+    ]) == 0
+    paced = (tmp_path / "scn" / "summary.json").read_bytes()
+    assert (tmp_path / "pipe" / "summary.json").read_bytes() == paced
+
+    expanded = load_artifact(str(artifact))
+    service = HitlistService(
+        build_internet(expanded.config), expanded.config,
+        settings=expanded.settings(),
+    )
+    direct = io.StringIO()
+    save_history_summary(service.run(pacer=SelfPaced(
+        2000, base_interval=7, start_day=0, until_day=21,
+    )), direct)
+    assert direct.getvalue().encode("ascii") == paced
+
+    assert main(["scenario", "run", str(tiny_scn), "-o",
+                 str(tmp_path / "fixed")]) == 0
+    fixed = json.loads((tmp_path / "fixed" / "summary.json").read_text())
+    days = [s["day"] for s in json.loads(paced)["snapshots"]]
+    assert [s["day"] for s in fixed["snapshots"]] == [0, 7, 14, 21]
+    assert days[0] == 0 and max(b - a for a, b in zip(days, days[1:])) > 7
+
+
+def test_zero_probes_per_day_fails_before_the_world_is_built(
+    tmp_path, monkeypatch
+):
+    import repro.cli as cli
+
+    def no_world(config):
+        raise AssertionError("the world was built")
+
+    monkeypatch.setattr(cli, "build_internet", no_world)
+    source = tmp_path / "zero.scn"
+    source.write_text(SELF_PACED.replace("2000", "0"), encoding="utf-8")
+    with pytest.raises(ValueError, match="settings.probes_per_day"):
+        main(["scenario", "run", str(source), "-o", str(tmp_path / "o")])
+
+
+def test_scenario_resume_needs_the_scenario_it_checkpointed(
+    tiny_scn, tmp_path, capsys
+):
+    """`scenario run X --resume C` finishes C byte-identically, and a
+    checkpoint of another world stops the run before any scan."""
+    ckpt = tmp_path / "ckpt"
+    assert main([
+        "scenario", "run", str(tiny_scn), "--checkpoint-dir", str(ckpt),
+        "-o", str(tmp_path / "full"),
+    ]) == 0
+    middle = sorted(ckpt.glob("*.ckpt"))[1]
+    assert main([
+        "scenario", "run", str(tiny_scn), "--resume", str(middle),
+        "-o", str(tmp_path / "resumed"),
+    ]) == 0
+    for name in ("summary.json", "responsive.txt", "scenario-expanded.json"):
+        assert (tmp_path / "resumed" / name).read_bytes() == (
+            tmp_path / "full" / name).read_bytes()
+    with pytest.raises(SystemExit, match=re.escape(
+        f"--resume {middle}: the checkpoint's world config differs from "
+        f"scenario 'tiny'"
+    )):
+        main([
+            "scenario", "run", str(tiny_scn), "--seed", "5",
+            "--resume", str(middle), "-o", str(tmp_path / "other"),
+        ])
+    assert not (tmp_path / "other" / "summary.json").exists()

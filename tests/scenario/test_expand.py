@@ -7,11 +7,17 @@ import pytest
 from repro.hitlist.service import ServiceSettings
 from repro.scenario.artifact import (
     artifact_from_dict,
+    artifact_to_dict,
     artifact_to_json,
     make_settings,
     validate_settings_overrides,
 )
-from repro.scenario.expand import expand_entries, expand_source, expand_text
+from repro.scenario.expand import (
+    expand_document,
+    expand_entries,
+    expand_source,
+    expand_text,
+)
 from repro.scenario.sdl import parse
 from repro.simnet.config import small_config
 
@@ -221,6 +227,28 @@ class TestExpandSource:
             expand_source("run:\n  days: 0\n", name="t")
         with pytest.raises(ValueError, match="run.bogus"):
             expand_source("run:\n  bogus: 3\n", name="t")
+
+    @pytest.mark.parametrize("block", [
+        {"days": 0},
+        {"interval": -7},
+        {"days": True},
+        {"interval": "7"},
+        {"bogus": 3},
+        {"days": 14, "pacing": "self"},
+        [14, 7],
+        None,
+    ])
+    def test_run_validation_is_shared_with_artifacts(self, block):
+        """A bad `run:` block fails the same way in a .scn source and in
+        an expanded artifact."""
+        with pytest.raises(ValueError) as from_source:
+            expand_document(dict(parse(MINIMAL), run=block), name="t")
+        data = artifact_to_dict(expand_source(MINIMAL, name="t"))
+        data["run"] = block
+        with pytest.raises(ValueError) as from_artifact:
+            artifact_from_dict(data)
+        assert str(from_source.value) == str(from_artifact.value)
+        assert str(from_source.value).startswith("run")
 
     def test_range_outside_list_section_rejected(self):
         with pytest.raises(ValueError, match="only expand inside list"):

@@ -184,6 +184,38 @@ class TestRuntimeFlags:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--preset", "small"],
+        ["scenario", "run", "residential-eui64"],
+    ], ids=["simulate", "scenario-run"])
+    @pytest.mark.parametrize("flags", [
+        ["--days", "0", "--interval", "30"],
+        ["--interval", "0"],
+        ["--days", "-5"],
+        ["--interval", "-7", "--days", "20"],
+        ["--retry-attempts", "-1"],
+        ["--retry-attempts", "0"],
+        ["--refresh-interval", "0"],
+        ["--checkpoint-every", "0"],
+        ["--vantages", "0"],
+    ], ids=" ".join)
+    def test_bad_run_flag_is_a_usage_error(
+        self, tmp_path, capsys, command, flags
+    ):
+        """A run flag below 1 fails at parse time: nothing is built,
+        scanned or written, and no value falls back to a default."""
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *flags, "-o", str(outdir)])
+        assert exit_info.value.code == 2
+        flag, value = next(
+            (flag, value) for flag, value in zip(flags[::2], flags[1::2])
+            if int(value) < 1
+        )
+        assert f"argument {flag}: must be >= 1, got {value}" in (
+            capsys.readouterr().err)
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("vantages,faults,message", [
         ("1", "vp0:14-35", "vp0; a single vantage takes no vantage-scoped"),
         ("1", "vp1:14-35", "vp1; a single vantage takes no vantage-scoped"),
