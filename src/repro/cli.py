@@ -178,6 +178,38 @@ def _load_faults(args: argparse.Namespace, base=None):
     return plan
 
 
+#: run flags that set the ``ServiceSettings`` field of the same name
+_SETTINGS_FLAGS = ("retry_attempts", "vantages", "quorum", "scan_mode",
+                   "refresh_interval", "sample_rate")
+#: run flags a resumed run cannot take: the checkpoint carries its
+#: schedule and fault plan
+_CHECKPOINT_FLAGS = ("days", "interval", "faults", "vantage_faults")
+
+
+def _flag(attr: str) -> str:
+    return "--" + attr.replace("_", "-")
+
+
+def _check_resume_flags(args: argparse.Namespace, service) -> None:
+    """Stop before the first scan when a run flag disagrees with the
+    checkpoint being resumed, instead of ignoring the flag."""
+    for attr in _SETTINGS_FLAGS:
+        value = getattr(args, attr)
+        stored = getattr(service.settings, attr)
+        if value is not None and value != stored:
+            raise SystemExit(
+                f"--resume {args.resume}: {_flag(attr)} {value} differs from "
+                f"the checkpoint's {attr} {stored}"
+            )
+    for attr in _CHECKPOINT_FLAGS:
+        value = getattr(args, attr)
+        if value is not None:
+            raise SystemExit(
+                f"--resume {args.resume}: {_flag(attr)} {value} cannot apply; "
+                f"the checkpoint's own schedule and fault plan continue"
+            )
+
+
 def _run_pipeline(args: argparse.Namespace):
     resume_path = args.resume
     checkpoint_dir = args.checkpoint_dir
@@ -193,6 +225,7 @@ def _run_pipeline(args: argparse.Namespace):
                 f"--resume {resume_path}: the checkpoint's world config "
                 f"differs from scenario {context.name!r} ({args.config})"
             )
+        _check_resume_flags(args, service)
         history = service.run(
             checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_dir,
             publish_dir=args.publish_dir,
@@ -214,8 +247,7 @@ def _run_pipeline(args: argparse.Namespace):
     # the baseline's value (the ServiceSettings default outside a
     # scenario context)
     overrides = {}
-    for attr in ("retry_attempts", "vantages", "quorum", "scan_mode",
-                 "refresh_interval", "sample_rate"):
+    for attr in _SETTINGS_FLAGS:
         value = getattr(args, attr)
         if value is not None:
             overrides[attr] = value
@@ -268,13 +300,15 @@ def _write_observability(args: argparse.Namespace, service) -> None:
         print(f"wrote stage trace to {trace_path}")
 
 
-def _write_run_outputs(outdir: pathlib.Path, config, internet, history):
+def _write_run_outputs(outdir: pathlib.Path, config, internet, history, spans):
     """Publish a finished campaign's artefacts into ``outdir``.
 
     Shared by ``simulate``/``pipeline`` and ``scenario run`` so every
     run directory has the same layout: responsive.txt,
     aliased-prefixes.txt, report.txt, scenario.json, figures/,
-    validation.txt and summary.json.
+    validation.txt and summary.json.  The report and the figures, the
+    costly writers, get ``report`` and ``figures`` spans in ``spans``
+    (the run's tracer), so ``--trace`` shows them.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "responsive.txt", "w", encoding="ascii") as handle:
@@ -283,12 +317,13 @@ def _write_run_outputs(outdir: pathlib.Path, config, internet, history):
         aliased = write_aliased_prefixes(
             handle, (alias.prefix for alias in history.final.aliased_prefixes)
         )
-    report = full_report(history)
-    (outdir / "report.txt").write_text(report)
+    with spans.span("report"):
+        (outdir / "report.txt").write_text(full_report(history))
     with open(outdir / "scenario.json", "w", encoding="ascii") as handle:
         save_config(config, handle)
     rib = internet.routing.snapshot_at(max(history.retained))
-    export_all_figures(outdir / "figures", history, rib)
+    with spans.span("figures"):
+        export_all_figures(outdir / "figures", history, rib)
     validation = validate_run(history)
     (outdir / "validation.txt").write_text(validation.render() + "\n")
     with open(outdir / "summary.json", "w", encoding="ascii") as handle:
@@ -300,7 +335,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config, internet, history, service = _run_pipeline(args)
     outdir = pathlib.Path(args.output)
     count, aliased, validation = _write_run_outputs(
-        outdir, config, internet, history
+        outdir, config, internet, history, service.spans
     )
     _write_observability(args, service)
     print(f"wrote {count} responsive addresses, {aliased} aliased prefixes, "
@@ -323,12 +358,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     outdir = pathlib.Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    report = full_report(history, evaluation)
-    (outdir / "report.txt").write_text(report)
+    with service.spans.span("report"):
+        (outdir / "report.txt").write_text(full_report(history, evaluation))
     with open(outdir / "new-responsive.txt", "w", encoding="ascii") as handle:
         count = write_address_list(handle, evaluation.combined_any())
     rib = internet.routing.snapshot_at(max(history.retained))
-    export_all_figures(outdir / "figures", history, rib, evaluation)
+    with service.spans.span("figures"):
+        export_all_figures(outdir / "figures", history, rib, evaluation)
     _write_observability(args, service)
     print(f"wrote report.txt, figures/ and {count} new responsive addresses "
           f"to {outdir}")
@@ -505,7 +541,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     artifact.write_text(artifact_to_json(expanded), encoding="ascii")
     args.config = str(artifact)
     config, internet, history, service = _run_pipeline(args)
-    count, aliased, _ = _write_run_outputs(outdir, config, internet, history)
+    count, aliased, _ = _write_run_outputs(
+        outdir, config, internet, history, service.spans)
     _write_observability(args, service)
     with open(outdir / "summary.json", "r", encoding="ascii") as handle:
         summary = json.load(handle)
@@ -605,7 +642,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "--checkpoint-dir is set)")
         p.add_argument("--resume", dest="resume",
                        help="resume an interrupted run from a checkpoint "
-                            "file or directory (ignores world/schedule flags)")
+                            "file or directory; the checkpoint supplies the "
+                            "world (world flags are ignored), settings, "
+                            "schedule and fault plan: --days, --interval, "
+                            "--faults, --vantage-faults or a settings flag "
+                            "whose value differs from the checkpoint's stops "
+                            "the run before its first scan")
         p.add_argument("--publish-dir", dest="publish_dir", metavar="DIR",
                        help="commit each scan's publication set to a "
                             "versioned snapshot store at DIR (serve it "

@@ -286,8 +286,12 @@ class SelfPaced(Pacer):
     next_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.probes_per_day is None or self.probes_per_day <= 0:
-            raise ValueError("self-paced scans require settings.probes_per_day")
+        if self.probes_per_day is None:
+            raise ValueError("self-paced scans require settings.probes_per_day, "
+                             "which is unset")
+        if self.probes_per_day < 1:
+            raise ValueError(
+                f"settings.probes_per_day must be >= 1, got {self.probes_per_day}")
         if self.base_interval < 1:
             # at 0, an empty pool's 0-day runtime would never advance the day
             raise ValueError(f"base_interval must be >= 1, got {self.base_interval}")

@@ -1,25 +1,24 @@
-"""A binary trie over IPv6 prefixes with longest-prefix matching.
+"""An index of IPv6 prefixes with longest-prefix matching.
 
 Used as the routing table backbone (:mod:`repro.asn.rib`), as the aliased
 prefix store in the hitlist pipeline and as a generic "is this address
-covered?" structure.  Nodes are small Python lists to keep the structure
-compact: ``[child0, child1, value]`` where ``value`` is ``_EMPTY`` for
-purely structural nodes.
+covered?" structure.  Stored prefixes use few distinct lengths (the RIB
+a dozen, the alias store the announced lengths, /64 and the nibble steps
+beyond it), so the index keeps one dict per stored length, keyed by
+``network >> (128 - length)``, and answers a lookup by probing those
+dicts longest first: one hash probe per stored length instead of one
+loop iteration per address bit.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.net.prefix import IPv6Prefix
 
 V = TypeVar("V")
 
 _EMPTY = object()
-
-_CHILD0 = 0
-_CHILD1 = 1
-_VALUE = 2
 
 
 class PrefixTrie(Generic[V]):
@@ -34,10 +33,13 @@ class PrefixTrie(Generic[V]):
     2
     """
 
-    __slots__ = ("_root", "_size")
+    __slots__ = ("_tables", "_probes", "_size")
 
     def __init__(self) -> None:
-        self._root: list = [None, None, _EMPTY]
+        #: prefix length -> {network >> (128 - length): value}
+        self._tables: Dict[int, Dict[int, V]] = {}
+        #: (length, shift, table) per non-empty table, longest first
+        self._probes: List[Tuple[int, int, Dict[int, V]]] = []
         self._size = 0
 
     def __len__(self) -> int:
@@ -46,123 +48,94 @@ class PrefixTrie(Generic[V]):
     def __bool__(self) -> bool:
         return self._size > 0
 
+    def _reindex(self) -> None:
+        self._probes = [
+            (length, 128 - length, self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        ]
+
     def insert(self, prefix: IPv6Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
-        node = self._root
-        bits = prefix.value
-        for depth in range(prefix.length):
-            bit = (bits >> (127 - depth)) & 1
-            child = node[bit]
-            if child is None:
-                child = [None, None, _EMPTY]
-                node[bit] = child
-            node = child
-        if node[_VALUE] is _EMPTY:
+        length = prefix.length
+        table = self._tables.get(length)
+        if table is None:
+            table = self._tables[length] = {}
+            self._reindex()
+        key = prefix.value >> (128 - length)
+        if key not in table:
             self._size += 1
-        node[_VALUE] = value
+        table[key] = value
 
     def __setitem__(self, prefix: IPv6Prefix, value: V) -> None:
         self.insert(prefix, value)
 
     def get(self, prefix: IPv6Prefix, default: Optional[V] = None) -> Optional[V]:
         """Exact-match lookup."""
-        node = self._find(prefix)
-        if node is None or node[_VALUE] is _EMPTY:
+        table = self._tables.get(prefix.length)
+        if table is None:
             return default
-        return node[_VALUE]
+        return table.get(prefix.value >> (128 - prefix.length), default)
 
     def __getitem__(self, prefix: IPv6Prefix) -> V:
-        node = self._find(prefix)
-        if node is None or node[_VALUE] is _EMPTY:
+        value = self.get(prefix, _EMPTY)
+        if value is _EMPTY:
             raise KeyError(str(prefix))
-        return node[_VALUE]
+        return value
 
     def __contains__(self, prefix: IPv6Prefix) -> bool:
-        node = self._find(prefix)
-        return node is not None and node[_VALUE] is not _EMPTY
-
-    def _find(self, prefix: IPv6Prefix) -> Optional[list]:
-        node = self._root
-        bits = prefix.value
-        for depth in range(prefix.length):
-            node = node[(bits >> (127 - depth)) & 1]
-            if node is None:
-                return None
-        return node
+        return self.get(prefix, _EMPTY) is not _EMPTY
 
     def remove(self, prefix: IPv6Prefix) -> bool:
-        """Remove an exact prefix; returns True if it was present.
-
-        Structural nodes are left in place (removal is rare in our
-        workloads), only the stored value is cleared.
-        """
-        node = self._find(prefix)
-        if node is None or node[_VALUE] is _EMPTY:
+        """Remove an exact prefix; returns True if it was present."""
+        length = prefix.length
+        table = self._tables.get(length)
+        if table is None or table.pop(prefix.value >> (128 - length), _EMPTY) is _EMPTY:
             return False
-        node[_VALUE] = _EMPTY
         self._size -= 1
+        if not table:
+            del self._tables[length]
+            self._reindex()
         return True
 
     def longest_match(self, address: int) -> Optional[Tuple[IPv6Prefix, V]]:
         """The most specific stored prefix containing ``address``, if any."""
-        node = self._root
-        best: Optional[Tuple[int, V]] = None
-        if node[_VALUE] is not _EMPTY:
-            best = (0, node[_VALUE])
-        for depth in range(128):
-            node = node[(address >> (127 - depth)) & 1]
-            if node is None:
-                break
-            if node[_VALUE] is not _EMPTY:
-                best = (depth + 1, node[_VALUE])
-        if best is None:
-            return None
-        length, value = best
-        return IPv6Prefix(address, length), value
+        for length, shift, table in self._probes:
+            value = table.get(address >> shift, _EMPTY)
+            if value is not _EMPTY:
+                return IPv6Prefix(address, length), value
+        return None
 
     def covers(self, address: int) -> bool:
         """True if any stored prefix contains ``address``."""
-        node = self._root
-        if node[_VALUE] is not _EMPTY:
-            return True
-        for depth in range(128):
-            node = node[(address >> (127 - depth)) & 1]
-            if node is None:
-                return False
-            if node[_VALUE] is not _EMPTY:
+        for _, shift, table in self._probes:
+            if address >> shift in table:
                 return True
         return False
 
     def covering_prefix(self, prefix: IPv6Prefix) -> Optional[Tuple[IPv6Prefix, V]]:
         """The most specific stored prefix that covers ``prefix`` entirely."""
-        node = self._root
-        best: Optional[Tuple[int, V]] = None
-        if node[_VALUE] is not _EMPTY:
-            best = (0, node[_VALUE])
         bits = prefix.value
-        for depth in range(prefix.length):
-            node = node[(bits >> (127 - depth)) & 1]
-            if node is None:
-                break
-            if node[_VALUE] is not _EMPTY:
-                best = (depth + 1, node[_VALUE])
-        if best is None:
-            return None
-        length, value = best
-        return IPv6Prefix(bits, length), value
+        for length, shift, table in self._probes:
+            if length <= prefix.length:
+                value = table.get(bits >> shift, _EMPTY)
+                if value is not _EMPTY:
+                    return IPv6Prefix(bits, length), value
+        return None
 
     def items(self) -> Iterator[Tuple[IPv6Prefix, V]]:
-        """Iterate ``(prefix, value)`` pairs in address order."""
-        stack: list[tuple[list, int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, value_bits, depth = stack.pop()
-            if node[_VALUE] is not _EMPTY:
-                yield IPv6Prefix(value_bits << (128 - depth) if depth else 0, depth), node[_VALUE]
-            # Push child 1 first so child 0 (lower addresses) pops first.
-            if node[_CHILD1] is not None:
-                stack.append((node[_CHILD1], (value_bits << 1) | 1, depth + 1))
-            if node[_CHILD0] is not None:
-                stack.append((node[_CHILD0], value_bits << 1, depth + 1))
+        """Iterate ``(prefix, value)`` pairs in address order.
+
+        Address order sorts by network value, and a shorter prefix comes
+        before a longer one on the same network.
+        """
+        entries = sorted(
+            ((key << shift, length, value)
+             for length, shift, table in self._probes
+             for key, value in table.items()),
+            key=lambda entry: (entry[0], entry[1]),
+        )
+        for network, length, value in entries:
+            yield IPv6Prefix(network, length), value
 
     def keys(self) -> Iterator[IPv6Prefix]:
         """Iterate stored prefixes in address order."""

@@ -12,15 +12,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Set
 
 from repro._util import mix64
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.faults import FaultPlan
+from repro.scan.blocklist import Blocklist
+from repro.simnet.internet import SimInternet
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64 finalizer constants (kept in sync with repro._util.mix64)
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
-from repro.obs.metrics import MetricsRegistry
-from repro.runtime.faults import FaultPlan
-from repro.scan.blocklist import Blocklist
-from repro.simnet.internet import SimInternet
 
 
 @dataclass
@@ -63,39 +63,36 @@ class YarrpTracer:
     def trace_targets(self, targets: Iterable[int], day: int) -> TraceRunResult:
         """Traceroute every (sampled, non-blocked) target once.
 
-        During a vantage outage no traceroute leaves the scan host, so
-        the run discovers nothing.
+        The sampled targets go to :meth:`SimInternet.trace_hops` in one
+        batch, which traces each distinct route once and drops blocked
+        hops.  During a vantage outage no traceroute leaves the scan
+        host, so the run discovers nothing.
         """
         result = TraceRunResult(day=day)
         plan = self._fault_plan
         if plan is not None and plan.vantage_down(day):
             return result
-        internet = self._internet
         blocklist = self._blocklist
-        # hot loop: skip blocklist checks entirely when it is empty and
-        # hoist the per-day sampling hash out of the per-target draw
         blocked = blocklist.is_blocked if len(blocklist) else None
         sample_all = self._sample_rate >= 1.0
-        day_hash = mix64(day ^ self._seed)
-        threshold = self._sample_threshold
-        trace = internet.trace
-        hops_seen = result.hops
-        for target in targets:
-            if blocked is not None and blocked(target):
-                continue
-            if not sample_all:
-                value = ((target & _M64) ^ (target >> 64) ^ day_hash) & _M64
-                value = ((value ^ (value >> 30)) * _MIX_C1) & _M64
-                value = ((value ^ (value >> 27)) * _MIX_C2) & _M64
-                if (value ^ (value >> 31)) >= threshold:
+        if blocked is None and sample_all:
+            traced = list(targets)
+        else:
+            day_hash = mix64(day ^ self._seed)
+            threshold = self._sample_threshold
+            traced = []
+            for target in targets:
+                if blocked is not None and blocked(target):
                     continue
-            result.targets_traced += 1
-            if blocked is None:
-                hops_seen.update(trace(target, day))
-            else:
-                for hop in trace(target, day):
-                    if not blocked(hop):
-                        hops_seen.add(hop)
+                if not sample_all:
+                    value = ((target & _M64) ^ (target >> 64) ^ day_hash) & _M64
+                    value = ((value ^ (value >> 30)) * _MIX_C1) & _M64
+                    value = ((value ^ (value >> 27)) * _MIX_C2) & _M64
+                    if (value ^ (value >> 31)) >= threshold:
+                        continue
+                traced.append(target)
+        result.targets_traced = len(traced)
+        result.hops = self._internet.trace_hops(traced, day, blocked)
         if self._metrics is not None:
             self._m_targets.inc(result.targets_traced)
             self._m_hops.inc(len(result.hops))

@@ -10,7 +10,7 @@ stays a pure function of time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro._util import mix64
 from repro.asn.registry import AsRegistry
@@ -137,13 +137,16 @@ class SimInternet:
         self._origin_cache: Dict[int, Optional[int]] = {}
         self._origin_cache_state: Dict[str, object] = {"snapshot": None}
 
-        # traceroute memo: hops are a pure function of (target /48 route
-        # key, origin AS, fleet rotation epochs) — see RouterTopology.trace.
-        # Valid until any CPE fleet enters a new rotation epoch.
-        self._trace_cache: Dict[Tuple[int, Optional[int]], List[int]] = {}
-        self._trace_cache_state: Dict[str, object] = {
-            "day": None, "epochs": None,
-        }
+        # traceroute memos (see trace_hops), pure functions of the world
+        # and never invalidated: per (target /48, origin AS) a
+        # [marker, last-hop devices, *route hops] entry, whose marker lets
+        # one trace_hops call expand each route once; the last-hop device
+        # tuples, interned (a world has thousands of routes but about a
+        # hundred distinct tuples); and each CPE device's (rotation epoch,
+        # address) for its latest epoch.
+        self._trace_routes: Dict[int, list] = {}
+        self._trace_devices: Dict[tuple, tuple] = {}
+        self._cpe_addresses: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # topology / bookkeeping
@@ -527,27 +530,78 @@ class SimInternet:
     # ------------------------------------------------------------------
     # traceroute
 
-    def trace(self, target: int, day: int) -> List[int]:
-        """Hop addresses a traceroute towards ``target`` reveals.
+    def trace_hops(
+        self,
+        targets: Iterable[int],
+        day: int,
+        blocked: Optional[Callable[[int], bool]] = None,
+    ) -> Set[int]:
+        """Hop addresses that traceroutes towards ``targets`` reveal.
 
-        Routing depends on the day only through each CPE fleet's
-        rotation epoch (``day // rotation_period``), so results are
-        memoized until some fleet rotates.  Callers must treat the
-        returned list as read-only.
+        A trace depends only on the target's /48, its origin AS and the
+        CPE fleets' rotation epochs, so each distinct (/48, origin) route
+        is expanded once per call.  Hops for which ``blocked`` answers
+        True never enter the result.  The set is built by inserting hops
+        in the order a per-target loop would first meet them: its
+        iteration order, which callers persist, depends on that order.
         """
-        state = self._trace_cache_state
-        if day != state["day"]:
-            epochs = tuple(
-                day // fleet.rotation_period for fleet in self.topology.fleets
-            )
-            if epochs != state["epochs"]:
-                self._trace_cache.clear()
-                state["epochs"] = epochs
-            state["day"] = day
-        asn = self.origin_as(target, day)
-        key = (target >> 80, asn)
-        hops = self._trace_cache.get(key)
-        if hops is None:
-            hops = self.topology.trace(target, asn, day)
-            self._trace_cache[key] = hops
+        snapshot = self.routing.snapshot_at(day)
+        if snapshot is not self._origin_cache_state["snapshot"]:
+            self._origin_cache.clear()
+            self._origin_cache_state["snapshot"] = snapshot
+        origin_cache = self._origin_cache
+        snapshot_origin = snapshot.origin_as
+        topology = self.topology
+        routes = self._trace_routes
+        expanded = object()  # marks the routes this call has expanded
+        today: Dict[Tuple[int, int], int] = {}  # last-hop device -> address
+        hops: Set[int] = set()
+        add = hops.add
+        for target in targets:
+            slash64 = target >> 64
+            asn = origin_cache.get(slash64, _MISSING)
+            if asn is _MISSING:
+                asn = snapshot_origin(target)
+                origin_cache[slash64] = asn
+            # one int per (/48, origin AS): ASNs are 32-bit, and a negative
+            # key stands for an unrouted /48
+            key = target >> 80 << 32 | asn if asn is not None else ~(target >> 80)
+            route = routes.get(key)
+            if route is None:
+                devices = topology.last_hop_devices(target >> 84, asn)
+                route = routes[key] = [
+                    None,
+                    self._trace_devices.setdefault(devices, devices),
+                    *topology.route_hops(target >> 80, asn),
+                ]
+            elif route[0] is expanded:
+                continue
+            route[0] = expanded
+            path = route[2:]
+            for device in route[1]:
+                address = today.get(device)
+                if address is None:
+                    address = today[device] = self._cpe_address(device, day)
+                path.append(address)
+            if blocked is None:
+                hops.update(path)
+            else:
+                for hop in path:
+                    if not blocked(hop):
+                        add(hop)
         return hops
+
+    def _cpe_address(self, device: Tuple[int, int], day: int) -> int:
+        """A ``(fleet index, device)`` pair's address on ``day``.
+
+        Memoized for the device's latest rotation epoch only, so the memo
+        stays as small as the set of last-hop devices however long the
+        campaign runs.
+        """
+        index, number = device
+        fleet = self.topology.fleets[index]
+        epoch = day // fleet.rotation_period
+        cached = self._cpe_addresses.get(device)
+        if cached is None or cached[0] != epoch:
+            cached = self._cpe_addresses[device] = (epoch, fleet.address_of(number, day))
+        return cached[1]

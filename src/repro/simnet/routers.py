@@ -153,42 +153,48 @@ class RouterTopology:
         """Stable core routers of one AS."""
         return tuple(self._core_routers.get(asn, ()))
 
-    def trace(self, target: int, target_asn: Optional[int], day: int) -> List[int]:
-        """Hop addresses revealed by one traceroute towards ``target``.
+    def route_hops(self, slash48: int, target_asn: Optional[int]) -> Tuple[int, ...]:
+        """The day-independent hops of a traceroute towards a /48.
 
-        The path is synthetic but stable for a (target /48, day epoch):
-        two transit hops, up to two destination-AS core routers, and —
-        for ASes operating CPE fleets — one rotating last-hop CPE
-        address.  The target itself is never included (whether it answers
-        is the scanner's business).
+        The path is synthetic but stable per (target /48, origin AS): two
+        transit hops and up to two destination-AS core routers, without
+        duplicates.  The rotating last hop comes from
+        :meth:`last_hop_devices`; the target itself is never included
+        (whether it answers is the scanner's business).
         """
         hops: List[int] = []
-        route_key = mix64((target >> 80) ^ mix64(self._seed))
+        route_key = mix64(slash48 ^ mix64(self._seed))
         if self._transit_routers:
             for index in range(2):
                 pick = mix64(route_key ^ index) % len(self._transit_routers)
                 hops.append(self._transit_routers[pick])
-        if target_asn is not None:
-            core = self._core_routers.get(target_asn)
-            if core:
-                hops.append(core[route_key % len(core)])
-                if len(core) > 1:
-                    hops.append(core[(route_key >> 8) % len(core)])
-            for fleet in self._fleets_by_asn.get(target_asn, ()):
-                # Last-hop diversity is bounded by aggregation infrastructure:
-                # targets map onto `trace_groups` rotating interfaces, so
-                # tracing more targets cannot mint unbounded new addresses.
-                groups = max(min(fleet.trace_groups, fleet.device_count), 1)
-                group = mix64((target >> 84) ^ fleet.fleet_id) % groups
-                device = mix64(fleet.fleet_id ^ 0x77 ^ group) % fleet.device_count
-                hops.append(fleet.address_of(device, day))
-        seen = set()
-        unique = []
-        for hop in hops:
-            if hop not in seen:
-                seen.add(hop)
-                unique.append(hop)
-        return unique
+        core = self._core_routers.get(target_asn)
+        if core:
+            hops.append(core[route_key % len(core)])
+            if len(core) > 1:
+                hops.append(core[(route_key >> 8) % len(core)])
+        return tuple(dict.fromkeys(hops))
+
+    def last_hop_devices(
+        self, slash44: int, target_asn: Optional[int],
+    ) -> Tuple[Tuple[int, int], ...]:
+        """``(fleet index, device)`` of each last hop towards a /44.
+
+        Every CPE fleet of the destination AS contributes one last hop:
+        the current address (``fleets[index].address_of(device, day)``)
+        of the device its aggregation group maps to.  Last-hop diversity
+        is bounded by aggregation infrastructure: targets map onto
+        ``trace_groups`` rotating interfaces, so tracing more targets
+        cannot mint unbounded new addresses.
+        """
+        devices = []
+        for index, fleet in enumerate(self._fleets):
+            if fleet.asn != target_asn:
+                continue
+            groups = max(min(fleet.trace_groups, fleet.device_count), 1)
+            group = mix64(slash44 ^ fleet.fleet_id) % groups
+            devices.append((index, mix64(fleet.fleet_id ^ 0x77 ^ group) % fleet.device_count))
+        return tuple(devices)
 
     def atlas_sample(self, day: int) -> List[int]:
         """CPE addresses observed by external platforms on ``day``.

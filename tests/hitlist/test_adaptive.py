@@ -81,6 +81,16 @@ class TestAdaptiveValidation:
         with pytest.raises(ValueError, match="base_interval"):
             service.run(pacer=SelfPaced(8_000, -3, start_day=0, until_day=10))
 
+    @pytest.mark.parametrize("rate,message", [
+        (None, "settings.probes_per_day, which is unset"),
+        (0, r"settings.probes_per_day must be >= 1, got 0"),
+        (-500, r"settings.probes_per_day must be >= 1, got -500"),
+    ])
+    def test_bad_rate_names_value_and_bound(self, rate, message):
+        """An unset rate and one below 1 fail with distinct messages."""
+        with pytest.raises(ValueError, match=message):
+            SelfPaced(rate, 1, start_day=0, until_day=10)
+
     def test_pacer_and_scan_days_are_exclusive(self, world41):
         config, world = world41
         service = HitlistService(

@@ -209,7 +209,7 @@ def _compare(campaign, config, round_trip=None, save=None, rewind=None) -> Metri
     return ref_metrics
 
 
-@settings(max_examples=120, deadline=None,
+@settings(max_examples=max(120, settings.default.max_examples), deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(campaign=campaigns(), config=scheduler_configs(), data=st.data())
 def test_scheduler_matches_reference(campaign, config, data):

@@ -178,6 +178,6 @@ class TestFingerprints:
 class TestTrace:
     def test_trace_returns_hops(self, small_world):
         target = next(iter(small_world.hosts))
-        hops = small_world.trace(target, 0)
+        hops = small_world.trace_hops([target], 0)
         assert hops
         assert target not in hops

@@ -94,6 +94,23 @@ class TestSimulateCommand:
         assert summary["format_version"] == 1
         assert summary["snapshots"]
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--preset", "small"],
+        ["scenario", "run", "residential-eui64"],
+    ], ids=["simulate", "scenario-run"])
+    def test_trace_shows_output_writers(self, tmp_path, command):
+        """The report and figure writers run after the campaign and get
+        top-level spans of their own in the ``--trace`` file."""
+        trace = tmp_path / "trace.json"
+        # the scenario's invariants need a longer run to hold; its exit
+        # code says so, and the trace is written before they are checked
+        main([*command, "--days", "14", "--interval", "7",
+              "--trace", str(trace), "-o", str(tmp_path / "run")])
+        spans = json.loads(trace.read_text())["spans"]
+        top = [span["name"] for span in spans if span["depth"] == 0]
+        assert top[-2:] == ["report", "figures"]
+        assert all(span["duration"] >= 0 for span in spans)
+
     def test_compare_two_runs(self, tmp_path, capsys):
         for seed, name in ((8, "a"), (9, "b")):
             assert main([
@@ -250,6 +267,60 @@ class TestRuntimeFlags:
         victim.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
             main(["simulate", "--resume", str(victim), "-o", str(tmp_path / "x")])
+
+
+@pytest.fixture(scope="module")
+def short_checkpoints(tmp_path_factory):
+    """A 14-day single-vantage run checkpointed after every scan."""
+    root = tmp_path_factory.mktemp("resume-flags")
+    ckpt = root / "ckpt"
+    assert main([
+        "simulate", "--preset", "small", "--days", "14", "--interval", "7",
+        "--checkpoint-dir", str(ckpt), "-o", str(root / "run"),
+    ]) == 0
+    return sorted(ckpt.glob("checkpoint-day*.ckpt"))
+
+
+class TestResumeFlags:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--vantages", "3", "--vantages 3 differs from the checkpoint's vantages 1"),
+        ("--scan-mode", "incremental",
+         "--scan-mode incremental differs from the checkpoint's scan_mode full"),
+        ("--retry-attempts", "2",
+         "--retry-attempts 2 differs from the checkpoint's retry_attempts 1"),
+        ("--quorum", "strict", "--quorum strict differs from the checkpoint's quorum majority"),
+        ("--refresh-interval", "3",
+         "--refresh-interval 3 differs from the checkpoint's refresh_interval 10"),
+        ("--sample-rate", "0.5",
+         "--sample-rate 0.5 differs from the checkpoint's sample_rate 0.03125"),
+        ("--days", "200", "--days 200 cannot apply"),
+        ("--interval", "2", "--interval 2 cannot apply"),
+        ("--faults", "faults.json", "--faults faults.json cannot apply"),
+        ("--vantage-faults", "vp1:3-5", "--vantage-faults vp1:3-5 cannot apply"),
+    ])
+    def test_disagreeing_flag_stops_before_any_scan(
+        self, tmp_path, short_checkpoints, flag, value, message
+    ):
+        """A flag the resumed run would ignore stops it instead, naming
+        the flag, the given value and the checkpoint's own value."""
+        before = {path: path.read_bytes() for path in short_checkpoints}
+        outdir = tmp_path / "resumed"
+        with pytest.raises(SystemExit, match=message):
+            main(["simulate", "--resume", str(short_checkpoints[0]),
+                  flag, value, "-o", str(outdir)])
+        assert not outdir.exists()
+        after = sorted(short_checkpoints[0].parent.glob("*.ckpt"))
+        assert {path: path.read_bytes() for path in after} == before
+
+    def test_agreeing_flags_resume(self, tmp_path, short_checkpoints):
+        """Flags equal to the checkpoint's settings change nothing."""
+        outdir = tmp_path / "resumed"
+        assert main([
+            "simulate", "--resume", str(short_checkpoints[-1]),
+            "--vantages", "1", "--scan-mode", "full", "--retry-attempts", "1",
+            "--quorum", "majority", "-o", str(outdir),
+        ]) == 0
+        assert (outdir / "summary.json").exists()
 
 
 class TestServeCommand:
