@@ -288,9 +288,9 @@ def domains_in_aliased_prefixes(
         report.domains_total += 1
         hit_prefixes = set()
         for address in domain.addresses:
-            match = trie.longest_match(address)
-            if match is not None:
-                hit_prefixes.add(match[1])
+            prefix = trie.longest_value(address)
+            if prefix is not None:
+                hit_prefixes.add(prefix)
                 report.aliased_addresses_seen.add(address)
         if not hit_prefixes:
             continue

@@ -36,8 +36,7 @@ class RibSnapshot:
 
     def origin_as(self, address: int) -> Optional[int]:
         """Longest-prefix-match origin AS for an address, if covered."""
-        match = self._trie.longest_match(address)
-        return None if match is None else match[1]
+        return self._trie.longest_value(address)
 
     def matching_prefix(self, address: int) -> Optional[IPv6Prefix]:
         """The most specific announced prefix covering ``address``."""

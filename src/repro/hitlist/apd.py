@@ -358,5 +358,4 @@ class AliasedPrefixDetection:
 
     def covering_alias(self, address: int) -> Optional[DetectedAlias]:
         """The most specific detected alias covering the address."""
-        match = self._aliased_trie.longest_match(address)
-        return None if match is None else match[1]
+        return self._aliased_trie.longest_value(address)

@@ -617,23 +617,16 @@ class HitlistService:
             self._m_excluded.labels(reason="gfw_purge").inc(len(purge))
             self._m_gfw_dropped.labels(era="post-filter").inc(len(purge))
 
-    def _drop_newly_aliased(self, changed: Optional[Set[IPv6Prefix]] = None) -> None:
+    def _drop_newly_aliased(self, changed: Set[IPv6Prefix]) -> None:
         """Remove scan-pool members now covered by detected aliases.
 
-        With ``changed`` (the prefixes whose alias state flipped this
-        round), only addresses under *newly* aliased prefixes need
+        ``changed`` holds the prefixes whose alias state flipped this
+        round.  Only addresses under *newly* aliased prefixes need
         dropping: ingestion already rejects alias-covered addresses and
         every earlier round dropped its own, so the pool never contains
-        an address under a previously detected alias.  Without it, the
-        whole pool is re-checked against the alias trie.
+        an address under a previously detected alias.
         """
         apd = self.apd
-        if changed is None:
-            self._scan_pool = {
-                address for address in self._scan_pool
-                if not apd.is_aliased_address(address)
-            }
-            return
         aliased_now = {alias.prefix for alias in apd.aliased_prefixes}
         # group newly aliased networks by prefix length: one set lookup
         # per (address, length) instead of a walk over every new alias
@@ -776,8 +769,8 @@ class HitlistService:
         # fleet of one hands straight to its engine.  Under incremental
         # scheduling the scheduler partitions the pool
         # fleet-globally (before sharding): only the probe set enters
-        # the engine's chunk loop, carried responders replay during
-        # the in-order merge, and absorb() folds probed outcomes back
+        # the engine's chunk loop, carried responders are folded in
+        # after its last chunk, and absorb() folds probed outcomes back
         # into the priority state and re-attributes carried-injected
         # responders that the GFW filter saw without response objects.
         scheduler = self.scheduler

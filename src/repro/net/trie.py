@@ -105,6 +105,14 @@ class PrefixTrie(Generic[V]):
                 return IPv6Prefix(address, length), value
         return None
 
+    def longest_value(self, address: int) -> Optional[V]:
+        """The value of :meth:`longest_match`, without building its prefix."""
+        for _, shift, table in self._probes:
+            value = table.get(address >> shift, _EMPTY)
+            if value is not _EMPTY:
+                return value
+        return None
+
     def covers(self, address: int) -> bool:
         """True if any stored prefix contains ``address``."""
         for _, shift, table in self._probes:

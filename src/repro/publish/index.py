@@ -163,8 +163,7 @@ class QueryIndex:
 
     def aliased_covering(self, address: int) -> Optional[IPv6Prefix]:
         """The most specific aliased prefix covering ``address``."""
-        match = self._aliased_trie.longest_match(address)
-        return None if match is None else match[1]
+        return self._aliased_trie.longest_value(address)
 
     def aliased_within(self, prefix: IPv6Prefix) -> List[IPv6Prefix]:
         """Aliased prefixes fully contained in ``prefix``, sorted."""

@@ -14,15 +14,19 @@ all of it into one pass:
   finalizer chain per target.
 
 A scan walks its targets in fixed chunks of :data:`DEFAULT_CHUNK_SIZE`,
-which bounds the per-chunk column memory.  Each chunk returns a
-:class:`repro.scan.wire.PackedChunkResult` of integer-coded target
-indices that the scan decodes in chunk order.
+which bounds the per-chunk column memory.  Each chunk adds its
+responders straight into the scan's own accumulators: the four
+fast-protocol responder sets, the packed UDP/53
+:class:`~repro.scan.responses.ResponseTable`, the control-domain NS
+log, the scannable list that per-AS rate limiting reads, and the
+count, burst and retry totals.
 
 Determinism contract (what checkpoint/resume and the deterministic
-metric families depend on): every chunk is a pure function of (scanner
-configuration, targets, day, qname), and chunk results are merged in
-chunk order — so responder sets, metric counter totals, the
-control-domain NS log and checkpoint bytes do not depend on where the
+metric families depend on): what a chunk adds is a function of
+(scanner configuration, targets, day, qname) alone, and chunks run in
+order, each adding in target order — so responder sets (down to their
+insertion order, which reaches checkpoint bytes), table rows, metric
+counter totals and the control-domain NS log do not depend on where the
 chunk boundaries fall.
 """
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro._util import mix64
@@ -37,13 +42,14 @@ from repro.net.teredo import TEREDO_PREFIX
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.protocols import DnsAnswer, Protocol, RecordType
-from repro.scan import wire
 from repro.scan.loss import FAST_SALT, loss_inners
-from repro.scan.responses import ResponseTable
+from repro.scan.responses import (
+    FLAG_INJECTED, GENUINE_BROKEN_ANSWER, GENUINE_NOERROR, GENUINE_NXDOMAIN,
+    GENUINE_REFERRAL, GENUINE_REFUSED, GENUINE_SERVFAIL, ResponseTable,
+)
 from repro.scan.vecmix import (
     LaneKit, bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes,
 )
-from repro.scan.wire import PackedChunkResult
 from repro.simnet.gfwsim import _TEREDO_SERVERS, InjectionMode
 from repro.simnet.hosts import DnsBehavior
 from repro.simnet.internet import ControlNsQuery, SimInternet
@@ -77,14 +83,12 @@ _APD_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80)
 #: one 0/1 answer byte -> one binary digit, for packing APD bitmaps
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-_REFUSED_BEHAVIORS = (DnsBehavior.NOT_DNS, DnsBehavior.AUTH_OR_CLOSED)
-
-#: DnsBehavior -> wire.GENUINE_* code for the behaviors whose response
+#: DnsBehavior -> GENUINE_* code for the behaviors whose response
 #: variant does not depend on per-target draws or qname resolution
 _BEHAVIOR_CODE = {
-    DnsBehavior.NOT_DNS: wire.GENUINE_REFUSED,
-    DnsBehavior.AUTH_OR_CLOSED: wire.GENUINE_REFUSED,
-    DnsBehavior.REFERRAL: wire.GENUINE_REFERRAL,
+    DnsBehavior.NOT_DNS: GENUINE_REFUSED,
+    DnsBehavior.AUTH_OR_CLOSED: GENUINE_REFUSED,
+    DnsBehavior.REFERRAL: GENUINE_REFERRAL,
 }
 
 
@@ -93,9 +97,8 @@ class _ScanContext:
 
     __slots__ = (
         "attempts", "loss_threshold", "threshold16", "fast_inner",
-        "udp_inner", "inject_possible", "gfw_era", "resolved",
-        "is_control", "mday", "inject_day_hash", "burst_cut", "inj_wide",
-        "inj_ranges",
+        "udp_inner", "inject_possible", "resolved", "is_control", "mday",
+        "inject_day_hash", "burst_cut", "inj_ranges",
     )
 
     def __init__(self, scanner: "ZMapScanner", day: int, qname: str) -> None:
@@ -108,19 +111,14 @@ class _ScanContext:
         self.fast_inner = loss_inners(seed, day, FAST_SALT, self.attempts)
         self.udp_inner = loss_inners(seed, day, int(Protocol.UDP53), self.attempts)
         gfw = internet.gfw
-        self.gfw_era = gfw.active_era(day)
         self.inject_possible = (
-            self.gfw_era is not None and gfw.is_blocked(qname)
+            gfw.active_era(day) is not None and gfw.is_blocked(qname)
         )
         # injection-draw constants (GreatFirewall.inject_prepared, hoisted)
         self.inject_day_hash = mix64(day ^ gfw._seed)
         # kept as float: inject_prepared compares the modulus against
         # probability*1e6 unrounded, and the boundary draw must agree
         self.burst_cut = gfw._burst_probability * 1_000_000
-        self.inj_wide = (
-            self.gfw_era is not None
-            and self.gfw_era.mode is not InjectionMode.A_RECORD
-        )
         self.inj_ranges = tuple(
             (base, (1 << (32 - length)) - 1)
             for base, length, _owner in gfw._pool.ranges
@@ -143,70 +141,82 @@ def _response_table(internet: SimInternet, day: int, qname: str) -> ResponseTabl
     )
 
 
-def _scan_chunk_packed(
+class _ScanSink:
+    """What one fused scan has found so far.
+
+    Each chunk adds its targets' outcomes here in target order, and
+    chunks run in order, so every set, row and log entry arrives in the
+    same sequence for any chunk boundaries.
+    """
+
+    __slots__ = (
+        "fast", "table", "scannable", "control_log", "count",
+        "burst_targets", "retry_draws",
+    )
+
+    def __init__(
+        self,
+        table: ResponseTable,
+        scannable: Optional[List[int]],
+        control_log: List[ControlNsQuery],
+    ) -> None:
+        #: responders per fast protocol, in FAST_PROTOCOLS order
+        self.fast: List[set] = [set(), set(), set(), set()]
+        #: the scan's UDP/53 hits
+        self.table = table
+        #: non-blocked targets, kept only when per-AS rate limiting
+        #: needs the probed list
+        self.scannable = scannable
+        #: the simulated world's control-domain NS log
+        self.control_log = control_log
+        self.count = 0
+        self.burst_targets = 0
+        self.retry_draws = 0
+
+
+def _scan_chunk(
     scanner: "ZMapScanner",
     targets: Sequence[int],
-    base_index: int,
     day: int,
     qname: str,
     ctx: _ScanContext,
-    keep_scannable: bool,
+    sink: _ScanSink,
     crosses_cache: Dict[Optional[int], bool],
-) -> PackedChunkResult:
-    """Fused five-protocol scan of one chunk — a pure function.
+) -> None:
+    """Fused five-protocol scan of one chunk, added to ``sink``.
 
     Per target: blocklist, then correlated bursts (every probe lost,
     not retryable), then the :func:`repro.scan.loss.loss_inners` draws
     per attempt, then the GFW injection draws.  Bit for bit what one
     single-protocol scan per protocol gives (the frozen reference
-    prober in ``tests/scan/_scanner_reference.py``).  The
-    chunk covers pool positions ``base_index .. base_index +
-    len(targets)``; all emitted indices are pool-global.  Only
-    ``crosses_cache`` (a memo of the pure ``GfwBoundary.crosses``) is
-    mutated.
+    prober in ``tests/scan/_scanner_reference.py``).  The outcome
+    depends only on (scanner configuration, targets, day, qname);
+    besides ``sink`` only ``crosses_cache`` (a memo of the pure
+    ``GfwBoundary.crosses``) is mutated.
     """
     internet = scanner._internet
     plan = scanner._fault_plan
-    result = PackedChunkResult()
 
-    # blocklist filter; live targets keep their pool-global index
     if len(scanner._blocklist):
         is_blocked = scanner._blocklist.is_blocked
-        live: List[int] = []
-        live_idx: List[int] = []
-        flags = bytearray(len(targets))
-        for offset, target in enumerate(targets):
-            if is_blocked(target):
-                continue
-            live.append(target)
-            live_idx.append(base_index + offset)
-            flags[offset] = 1
-        if keep_scannable:
-            result.scannable_bits = wire.pack_bitmask(flags)
+        live = [target for target in targets if not is_blocked(target)]
     else:
-        live = list(targets)
-        live_idx = list(range(base_index, base_index + len(targets)))
-        if keep_scannable:
-            result.scannable_bits = wire.pack_bitmask(bytes((1,)) * len(targets))
-    result.count = len(live)
+        live = targets
+    if sink.scannable is not None:
+        sink.scannable.extend(live)
+    sink.count += len(live)
 
     # correlated loss bursts kill every probe of a target at once and
     # are not retryable — drop those targets before any draw
     if plan is not None:
         burst_lost = plan.burst_lost
-        kept: List[int] = []
-        kept_idx: List[int] = []
-        for target, gidx in zip(live, live_idx):
-            if burst_lost(target, day):
-                result.burst_targets += 1
-            else:
-                kept.append(target)
-                kept_idx.append(gidx)
-        live, live_idx = kept, kept_idx
+        kept = [target for target in live if not burst_lost(target, day)]
+        sink.burst_targets += len(live) - len(kept)
+        live = kept
 
     n = len(live)
     if n == 0:
-        return result
+        return
 
     masks, asns, behaviors = internet.probe_batch_arrays(live, day, qname)
 
@@ -248,31 +258,27 @@ def _scan_chunk_packed(
         )
         crosses = internet.gfw._boundary.crosses
         burst_cut = ctx.burst_cut
-        result.inj_wide = ctx.inj_wide
         inj_xor: List[int] = []
 
     # genuine-DNS variant codes that need no per-target work
     behavior_code = _BEHAVIOR_CODE
-    open_code = (
-        wire.GENUINE_NOERROR if ctx.resolved else wire.GENUINE_NXDOMAIN
-    )
-    control_flag = wire.FLAG_CONTROL if ctx.is_control else 0
+    open_code = GENUINE_NOERROR if ctx.resolved else GENUINE_NXDOMAIN
+    logs_control = ctx.is_control and open_code == GENUINE_NOERROR
+    log_append = sink.control_log.append
     mday = ctx.mday
     single = attempts == 1
 
-    fast0, fast1, fast2, fast3 = result.fast_idx
-    f0_append = fast0.append
-    f1_append = fast1.append
-    f2_append = fast2.append
-    f3_append = fast3.append
-    udp_idx_append = result.udp_idx.append
-    udp_meta_append = result.udp_meta.append
-    inj_counts_append = result.inj_counts.append
-    fast_draws = 0
-    udp_draws = 0
+    f0_add, f1_add, f2_add, f3_add = (found.add for found in sink.fast)
+    udp_hits: List[int] = []
+    udp_metas = bytearray()
+    inj_counts: List[int] = []
+    udp_hits_append = udp_hits.append
+    udp_metas_append = udp_metas.append
+    inj_counts_append = inj_counts.append
+    retry_draws = 0
 
-    for i, (gidx, target, mask, behavior, s, ok) in enumerate(
-        zip(live_idx, live, masks, behaviors, nib0, ok0)
+    for i, (target, mask, behavior, s, ok) in enumerate(
+        zip(live, masks, behaviors, nib0, ok0)
     ):
         # fast protocols: four probes drawn from disjoint 16-bit slices
         # of one 64-bit hash
@@ -281,18 +287,18 @@ def _scan_chunk_packed(
                 for attempt in range(1, attempts):
                     s |= nibs[attempt][i]
                     if s == 0b1111:
-                        fast_draws += attempt
+                        retry_draws += attempt
                         break
                 else:
-                    fast_draws += attempts - 1
+                    retry_draws += attempts - 1
             if s & 1 and mask & 1:  # ICMP
-                f0_append(gidx)
+                f0_add(target)
             if s & 2 and mask & 2:  # TCP80
-                f1_append(gidx)
+                f1_add(target)
             if s & 4 and mask & 4:  # TCP443
-                f2_append(gidx)
+                f2_add(target)
             if s & 8 and mask & 16:  # UDP443
-                f3_append(gidx)
+                f3_add(target)
 
         # UDP/53: loss is drawn for every non-burst target (the GFW can
         # inject even when the target itself is dead); the first
@@ -301,11 +307,11 @@ def _scan_chunk_packed(
             lost = True
             for attempt in range(1, attempts):
                 if oks[attempt][i]:
-                    udp_draws += attempt
+                    retry_draws += attempt
                     lost = False
                     break
             else:
-                udp_draws += attempts - 1
+                retry_draws += attempts - 1
             if lost:
                 continue
 
@@ -317,7 +323,7 @@ def _scan_chunk_packed(
                 crossing = crosses(asn)
                 crosses_cache[asn] = crossing
             if crossing:
-                meta = wire.FLAG_INJECTED
+                meta = FLAG_INJECTED
                 base_draw = inj_draws[i]
                 count = 2 + base_draw % 2  # two or three injectors answer
                 if (base_draw >> 32) % 1_000_000 < burst_cut:
@@ -335,27 +341,30 @@ def _scan_chunk_packed(
                 value = ((value ^ (value >> 30)) * _MIX_C1) & _M64
                 value = ((value ^ (value >> 27)) * _MIX_C2) & _M64
                 if (value ^ (value >> 31)) % 2:
-                    meta |= wire.GENUINE_SERVFAIL
+                    meta |= GENUINE_SERVFAIL
                 else:
-                    meta |= wire.GENUINE_BROKEN_ANSWER
+                    meta |= GENUINE_BROKEN_ANSWER
             else:  # open / proxy resolver
                 meta |= open_code
-                if open_code == wire.GENUINE_NOERROR and control_flag:
-                    meta |= control_flag
+                if logs_control:
+                    # a proxy resolver queries the authority from its
+                    # own egress address
+                    egress = target
                     if behavior is DnsBehavior.PROXY_RESOLVER:
-                        meta |= wire.FLAG_PROXY
+                        egress ^= mix64(target) & 0xFFFF
+                    log_append(ControlNsQuery(qname=qname, source=egress))
 
         if meta:
-            udp_idx_append(gidx)
-            udp_meta_append(meta)
+            udp_hits_append(target)
+            udp_metas_append(meta)
 
-    result.fast_retry_draws = fast_draws
-    result.udp_retry_draws = udp_draws
+    sink.retry_draws += retry_draws
 
     # second bulk pass: the per-response injection draws.  The draw for
     # response k of a target is mix64(base_draw ^ (k+1)) — flatten all
     # (target, k) pairs, mix them in lanes, then map draws to payload
     # ints (A-record IPv4s, or full Teredo AAAA addresses as lo/hi).
+    payloads = array("Q")
     if inject_possible and inj_xor:
         flat: List[int] = []
         for base_draw, count in inj_xor:
@@ -368,8 +377,8 @@ def _scan_chunk_packed(
         draws = unpack_lanes(bulk_mix64_xor(pack_lanes(flat), 0, kit), kit)
         ranges = ctx.inj_ranges
         nranges = len(ranges)
-        answers_append = result.inj_answers.append
-        if result.inj_wide:
+        payloads_append = payloads.append
+        if sink.table.wide:
             servers = _TEREDO_SERVERS
             for j in range(total):
                 draw = draws[j]
@@ -384,14 +393,14 @@ def _scan_chunk_packed(
                     | ((port ^ 0xFFFF) << 32)
                     | (ipv4 ^ 0xFFFFFFFF)
                 )
-                answers_append(address & _M64)
-                answers_append(address >> 64)
+                payloads_append(address & _M64)
+                payloads_append(address >> 64)
         else:
             for j in range(total):
                 draw = draws[j]
                 base, host_mask = ranges[draw % nranges]
-                answers_append(base | (draw >> 8) & host_mask)
-    return result
+                payloads_append(base | (draw >> 8) & host_mask)
+    sink.table.extend(udp_hits, udp_metas, inj_counts, payloads)
 
 
 class ScanEngine:
@@ -445,7 +454,7 @@ class ScanEngine:
         identical for any chunk size.
 
         ``carried`` (from the incremental scheduler) folds previously
-        probed responders into the merged results without probing them:
+        probed responders into the results without probing them:
         their addresses join the responder sets and target counts after
         the probe metrics flush, so ``repro_probes_sent_total`` reflects
         only real probes.  Carried UDP/53 responders have no row in the
@@ -473,47 +482,23 @@ class ScanEngine:
             plan.limits_protocol(protocol)
             for protocol in _SCAN_PROTOCOLS
         )
-        chunk_size = DEFAULT_CHUNK_SIZE
-        ranges = [
-            (start, min(start + chunk_size, len(targets)))
-            for start in range(0, len(targets), chunk_size)
-        ]
-        ctx = _ScanContext(scanner, day, qname) if ranges else None
-        chunk_results = self._run_chunks(targets, ranges, day, qname, limited, ctx)
-
-        # deterministic merge, in chunk order
-        fast_sets: List[set] = [set(), set(), set(), set()]
-        count = 0
-        burst_targets = 0
-        fast_draws = 0
-        udp_draws = 0
-        scannable: Optional[List[int]] = [] if limited else None
-        control_entries: List[Tuple[str, int]] = []
-        getitem = targets.__getitem__
-        for (start, stop), chunk_result in zip(ranges, chunk_results):
-            count += chunk_result.count
-            burst_targets += chunk_result.burst_targets
-            fast_draws += chunk_result.fast_retry_draws
-            udp_draws += chunk_result.udp_retry_draws
-            for found, idx in zip(fast_sets, chunk_result.fast_idx):
-                found.update(map(getitem, idx))
-            self._decode_udp(chunk_result, targets, ctx, table, control_entries)
-            if scannable is not None:
-                bits = chunk_result.scannable_bits
-                for offset in wire.iter_bitmask(bits, stop - start):
-                    scannable.append(targets[start + offset])
+        sink = _ScanSink(
+            table, [] if limited else None, scanner._internet.control_ns_log
+        )
+        chunks = self._run_chunks(targets, day, qname, sink)
+        fast_sets = sink.fast
+        count = sink.count
         udp53.targets = count
         udp53.responders.update(table)
-        log = scanner._internet.control_ns_log
-        for logged_qname, egress in control_entries:
-            log.append(ControlNsQuery(qname=logged_qname, source=egress))
 
         # per-AS rate limiting needs the full probed list, so it runs
-        # after the merge (identical to the pre-engine per-scan ordering)
-        # responders dropped per protocol, in _SCAN_PROTOCOLS order
+        # after the last chunk (identical to the pre-engine per-scan
+        # ordering); responders dropped per protocol, in _SCAN_PROTOCOLS
+        # order
         rate_limited = [0] * len(_SCAN_PROTOCOLS)
-        if limited and scannable is not None:
+        if limited:
             internet = scanner._internet
+            scannable = sink.scannable
 
             def origin(address: int) -> Optional[int]:
                 return internet.origin_as(address, day)
@@ -535,11 +520,11 @@ class ScanEngine:
                     table.drop(address)
 
         if self._m_chunks is not None:
-            self._m_chunks.inc(len(ranges))
+            self._m_chunks.inc(chunks)
             self._m_fused_targets.inc(count)
         _record_probes(
-            scanner, _SCAN_PROTOCOLS, count, burst_targets,
-            fast_draws + udp_draws,
+            scanner, _SCAN_PROTOCOLS, count, sink.burst_targets,
+            sink.retry_draws,
             [len(found) for found in fast_sets] + [len(udp53.responders)],
             rate_limited,
         )
@@ -558,65 +543,33 @@ class ScanEngine:
         }
         return results, udp53
 
-    def _decode_udp(
-        self,
-        chunk: PackedChunkResult,
-        targets: List[int],
-        ctx: _ScanContext,
-        table: ResponseTable,
-        control_entries: List[Tuple[str, int]],
-    ) -> None:
-        """Copy the chunk's UDP/53 hits into the scan's response table.
-
-        Rows stay packed (responses are built only when a caller reads
-        one); control-domain NS log entries are collected here, in
-        target order.
-        """
-        table.extend(chunk, targets)
-        if not ctx.is_control:
-            return
-        qname = table.qname
-        for target_index, meta in zip(chunk.udp_idx, chunk.udp_meta):
-            if meta & wire.FLAG_CONTROL:
-                target = targets[target_index]
-                egress = target
-                if meta & wire.FLAG_PROXY:
-                    egress = target ^ mix64(target) & 0xFFFF
-                control_entries.append((qname, egress))
-
     def _run_chunks(
-        self,
-        targets: List[int],
-        ranges: List[Tuple[int, int]],
-        day: int,
-        qname: str,
-        limited: bool,
-        ctx: Optional[_ScanContext],
-    ) -> List[PackedChunkResult]:
+        self, targets: List[int], day: int, qname: str, sink: _ScanSink
+    ) -> int:
+        """Scan ``targets`` into ``sink`` in chunk order; the chunk count."""
+        if not targets:
+            return 0
         scanner = self._scanner
+        ctx = _ScanContext(scanner, day, qname)
         tracer = self._tracer
         observe = (
             self._m_chunk_seconds.observe if self._m_chunks is not None else None
         )
-        results: List[PackedChunkResult] = []
-        for index, (start, stop) in enumerate(ranges):
+        chunk_size = DEFAULT_CHUNK_SIZE
+        starts = range(0, len(targets), chunk_size)
+        for index, start in enumerate(starts):
             began = time.perf_counter()
-            if tracer is not None:
-                with tracer.span(
-                    "probe-chunk", day=day, chunk=index, **self._span_attrs
-                ):
-                    results.append(_scan_chunk_packed(
-                        scanner, targets[start:stop], start, day, qname,
-                        ctx, limited, self._crosses_cache,
-                    ))
-            else:
-                results.append(_scan_chunk_packed(
-                    scanner, targets[start:stop], start, day, qname,
-                    ctx, limited, self._crosses_cache,
-                ))
+            with (
+                tracer.span("probe-chunk", day=day, chunk=index, **self._span_attrs)
+                if tracer is not None else nullcontext()
+            ):
+                _scan_chunk(
+                    scanner, targets[start:start + chunk_size], day, qname,
+                    ctx, sink, self._crosses_cache,
+                )
             if observe is not None:
                 observe(time.perf_counter() - began)
-        return results
+        return len(starts)
 
 
 def _record_probes(

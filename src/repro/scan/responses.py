@@ -1,21 +1,24 @@
 """Per-scan UDP/53 response table: packed rows, responses built on read.
 
 A GFW-era scan hears tens of thousands of forged answers.  Building a
-``DnsResponse`` (plus its ``DnsAnswer`` and tuples) for each of them in
-the parent, only for the GFW filter to walk them once and drop them,
-made the merge the most expensive step of such a scan, most of it in
-cyclic-GC passes set off by the allocations.  :class:`ResponseTable`
-keeps the engine's packed chunk output instead: one int code per
+``DnsResponse`` (plus its ``DnsAnswer`` and tuples) for each of them,
+only for the GFW filter to walk them once and drop them, would make
+response bookkeeping the most expensive step of such a scan, most of it
+in cyclic-GC passes set off by the allocations.  :class:`ResponseTable`
+keeps what the scan engine's chunks add instead: one int code per
 responder plus one flat payload array per scan.
 
 A row code packs three fields::
 
     code = meta | count << 8 | offset << 24
 
-``meta`` is the :mod:`repro.scan.wire` meta byte (genuine variant and
-flags), ``count`` the number of forged answers and ``offset`` the first
-payload slot of those answers in the table's payload array (one slot per
-A-record answer, two — ``lo, hi`` — per Teredo AAAA answer).
+``meta`` is the meta byte below (the genuine response variant and
+whether forged answers came first), ``count`` the number of forged
+answers and ``offset`` the first payload slot of those answers in the
+table's payload array (one slot per A-record answer, two — ``lo, hi``
+— per Teredo AAAA answer).  This module is the only one that defines
+the row format: the engine writes meta bytes with the codes below,
+:meth:`ResponseTable.extend` assigns counts and offsets.
 
 The table is a read-only ``Mapping[int, Tuple[DnsResponse, ...]]``:
 ``table[responder]`` builds exactly the responses
@@ -31,8 +34,22 @@ from array import array
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
-from repro.scan import wire
-from repro.scan.wire import PackedChunkResult
+
+# ---------------------------------------------------------------------------
+# meta byte layout
+
+#: genuine-DNS response variant (bits 0-2 of the meta byte)
+GENUINE_NONE = 0
+GENUINE_REFUSED = 1
+GENUINE_REFERRAL = 2
+GENUINE_SERVFAIL = 3
+GENUINE_BROKEN_ANSWER = 4
+GENUINE_NXDOMAIN = 5
+GENUINE_NOERROR = 6
+
+GENUINE_MASK = 0b111
+#: injected (GFW-forged) responses precede the genuine one
+FLAG_INJECTED = 1 << 3
 
 _COUNT_SHIFT = 8
 _COUNT_MASK = 0xFFFF
@@ -63,14 +80,14 @@ class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
         #: responder -> row code, in target order
         self._rows: Dict[int, int] = {}
         self._payloads = array("Q")
-        #: wire.GENUINE_* variant -> (status, answers) of the genuine response
+        #: GENUINE_* variant -> (status, answers) of the genuine response
         self._genuine: Dict[int, Tuple[DnsStatus, Tuple[DnsAnswer, ...]]] = {
-            wire.GENUINE_REFUSED: (DnsStatus.REFUSED, ()),
-            wire.GENUINE_REFERRAL: (DnsStatus.NOERROR, _REFERRAL_ANSWERS),
-            wire.GENUINE_SERVFAIL: (DnsStatus.SERVFAIL, ()),
-            wire.GENUINE_BROKEN_ANSWER: (DnsStatus.NOERROR, _BROKEN_ANSWERS),
-            wire.GENUINE_NXDOMAIN: (DnsStatus.NXDOMAIN, ()),
-            wire.GENUINE_NOERROR: (DnsStatus.NOERROR, resolved),
+            GENUINE_REFUSED: (DnsStatus.REFUSED, ()),
+            GENUINE_REFERRAL: (DnsStatus.NOERROR, _REFERRAL_ANSWERS),
+            GENUINE_SERVFAIL: (DnsStatus.SERVFAIL, ()),
+            GENUINE_BROKEN_ANSWER: (DnsStatus.NOERROR, _BROKEN_ANSWERS),
+            GENUINE_NXDOMAIN: (DnsStatus.NXDOMAIN, ()),
+            GENUINE_NOERROR: (DnsStatus.NOERROR, resolved),
         }
         #: (source table, payload base) pairs already merged by :meth:`take`
         self._bases: List[Tuple["ResponseTable", int]] = []
@@ -85,23 +102,30 @@ class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
         return ResponseTable(self.qname, self.resolved, self.wide)
 
     # ------------------------------------------------------------------
-    # building (scan engine and fleet merge)
+    # building (scan engine chunks and fleet merge)
 
-    def extend(self, chunk: PackedChunkResult, targets: Sequence[int]) -> None:
-        """Append one chunk's UDP/53 hits; ``targets`` maps hit indices."""
-        if not chunk.udp_idx:
-            return
+    def extend(
+        self,
+        responders: Sequence[int],
+        metas: Sequence[int],
+        counts: Sequence[int],
+        payloads: Sequence[int],
+    ) -> None:
+        """Append rows: one meta byte per responder, in order.
+
+        Each ``FLAG_INJECTED`` meta takes the next of ``counts`` (its
+        number of forged answers); ``payloads`` holds those answers'
+        slots in the same order.
+        """
         rows = self._rows
-        responders = map(targets.__getitem__, chunk.udp_idx)
-        counts = chunk.inj_counts
         if not counts:
-            rows.update(zip(responders, chunk.udp_meta))
+            rows.update(zip(responders, metas))
             return
-        width = 2 if chunk.inj_wide else 1
+        width = 2 if self.wide else 1
         offset = len(self._payloads)
-        ci = 0  # cursor into inj_counts
-        for responder, meta in zip(responders, chunk.udp_meta):
-            if meta & wire.FLAG_INJECTED:
+        ci = 0  # cursor into counts
+        for responder, meta in zip(responders, metas):
+            if meta & FLAG_INJECTED:
                 count = counts[ci]
                 ci += 1
                 rows[responder] = (
@@ -110,7 +134,7 @@ class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
                 offset += count * width
             else:
                 rows[responder] = meta
-        self._payloads.extend(chunk.inj_answers)
+        self._payloads.extend(payloads)
 
     def drop(self, responder: int) -> None:
         """Remove ``responder``'s row, if any (per-AS rate limiting)."""
@@ -167,13 +191,13 @@ class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
     def observed(self) -> Iterator[Tuple[int, int, Sequence[int]]]:
         """``(responder, variant, forged)`` per row, in row order.
 
-        ``variant`` is the row's ``wire.GENUINE_*`` code (see
+        ``variant`` is the row's ``GENUINE_*`` code (see
         :meth:`genuine`; ``GENUINE_NONE`` means no genuine answer) and
         ``forged`` the addresses of its forged answers, one response
         each, all of type :attr:`forged_rtype`.
         """
         forged = self._forged
-        mask = wire.GENUINE_MASK
+        mask = GENUINE_MASK
         for responder, code in self._rows.items():
             yield responder, code & mask, forged(code)
 
@@ -189,7 +213,7 @@ class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
             )
             for address in self._forged(code)
         ]
-        variant = code & wire.GENUINE_MASK
+        variant = code & GENUINE_MASK
         if variant:
             status, answers = self._genuine[variant]
             responses.append(DnsResponse(

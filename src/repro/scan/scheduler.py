@@ -14,9 +14,10 @@ flags) and partitions the pool each scan day into three classes:
   deterministic ``mix64``-seeded lottery at a configurable rate; also
   probed, and any contradiction with the carried state counts as a
   divergence repair and demotes the prefix back to full probing,
-* **carried-forward** prefixes — replayed from the carry store during
-  the in-order merge, so snapshots, metrics, and checkpoint bytes stay
-  deterministic across reruns and resumes.
+* **carried-forward** prefixes — replayed from the carry store and
+  folded into the scan's results after its last chunk, so snapshots,
+  metrics, and checkpoint bytes stay deterministic across reruns and
+  resumes.
 
 The scheduling unit is the /64 prefix: a prefix is wholly probed or
 wholly carried, which makes the tiling property (probed and carried
@@ -206,7 +207,7 @@ class ScanPlan:
 
 @dataclass
 class CarriedScan:
-    """Carried-forward responders, shaped for the in-order merge."""
+    """Carried-forward responders, shaped for the engine's carried fold."""
 
     targets: int
     #: responder sets in ``FAST_BITS`` protocol order
@@ -608,7 +609,7 @@ class IncrementalScheduler:
         the carry store's expectation *after* filtering both through the
         day's survival draws, so a lost probe is "no information", not
         churn.  Also re-attributes carried-forward injected responders
-        inside ``cleaning`` — carried responders ride into the merge
+        inside ``cleaning`` — carried responders join the scan's results
         without response objects, so the GFW filter classified them
         clean; the carry store remembers which of them were injected.
 

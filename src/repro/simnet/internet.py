@@ -208,14 +208,12 @@ class SimInternet:
         """The active fully responsive region covering ``address``, if any."""
         slash64 = address >> 64
         if slash64 in self._long_region_slash64s:
-            match = self._region_trie.longest_match(address)
-            region = None if match is None else match[1]
+            region = self._region_trie.longest_value(address)
         else:
             try:
                 region = self._region_cache[slash64]
             except KeyError:
-                match = self._region_trie.longest_match(address)
-                region = None if match is None else match[1]
+                region = self._region_trie.longest_value(address)
                 self._region_cache[slash64] = region
         if region is not None and region.active(day):
             return region
@@ -301,7 +299,7 @@ class SimInternet:
         snapshot_origin = snapshot.origin_as
         region_cache = self._region_cache
         long_slash64s = self._long_region_slash64s
-        longest_match = self._region_trie.longest_match
+        longest_value = self._region_trie.longest_value
         hosts_get = self.hosts.get
         cpe = self._responsive_cpe(day)
         seed = self._seed
@@ -320,13 +318,11 @@ class SimInternet:
                 origin_cache[slash64] = asn
             asns_append(asn)
             if slash64 in long_slash64s:
-                match = longest_match(target)
-                region = None if match is None else match[1]
+                region = longest_value(target)
             else:
                 region = region_cache.get(slash64, _MISSING)
                 if region is _MISSING:
-                    match = longest_match(target)
-                    region = None if match is None else match[1]
+                    region = longest_value(target)
                     region_cache[slash64] = region
             if region is not None and not region.active(day):
                 region = None
@@ -357,7 +353,7 @@ class SimInternet:
         """
         region_cache = self._region_cache
         long_slash64s = self._long_region_slash64s
-        longest_match = self._region_trie.longest_match
+        longest_value = self._region_trie.longest_value
         hosts_get = self.hosts.get
         cpe = self._responsive_cpe(day)
         seed = self._seed
@@ -366,13 +362,11 @@ class SimInternet:
         for index, target in enumerate(targets):
             slash64 = target >> 64
             if slash64 in long_slash64s:
-                match = longest_match(target)
-                region = None if match is None else match[1]
+                region = longest_value(target)
             else:
                 region = region_cache.get(slash64, _MISSING)
                 if region is _MISSING:
-                    match = longest_match(target)
-                    region = None if match is None else match[1]
+                    region = longest_value(target)
                     region_cache[slash64] = region
             mask = 0
             if region is not None and region.active(day):

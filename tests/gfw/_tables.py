@@ -1,27 +1,27 @@
 """Hand-built UDP/53 scan results for GFW filter tests.
 
 ``GfwFilter.clean_scan`` reads a scan's packed ``ResponseTable``.  The
-helper here fills one the way the scan engine does — ``extend`` with a
-``PackedChunkResult`` — from a ``{responder: (forged, variant)}`` map:
+helper here fills one the way a scan engine chunk does — one
+``extend`` call with responders, meta bytes, forged counts and payload
+slots — from a ``{responder: (forged, variant)}`` map:
 ``forged`` are the addresses of the responder's forged answers (IPv4s
 in an A-record era, Teredo addresses in a Teredo era; one response
-each) and ``variant`` is the ``wire.GENUINE_*`` code of its genuine
+each) and ``variant`` is the ``GENUINE_*`` code of its genuine
 response (``NONE`` for a dead target).
 """
 
 from typing import Mapping, Sequence, Tuple
 
 from repro.protocols import DnsAnswer, RecordType
-from repro.scan import wire
+from repro.scan import responses
 from repro.scan.responses import ResponseTable
-from repro.scan.wire import PackedChunkResult
 from repro.scan.zmap import Udp53Result
 
 QNAME = "www.google.com"
 #: no genuine response: only forgeries came back
-NONE = wire.GENUINE_NONE
+NONE = responses.GENUINE_NONE
 #: a genuine NOERROR response carrying the table's resolved answers
-NOERROR = wire.GENUINE_NOERROR
+NOERROR = responses.GENUINE_NOERROR
 #: what an open resolver answers for QNAME by default
 RESOLVED = (DnsAnswer(rtype=RecordType.AAAA, address=42 << 64),)
 
@@ -39,22 +39,20 @@ def scan_result(
     ``teredo`` picks the era: forged answers are Teredo AAAA records
     (two payload slots each) rather than A records.
     """
-    chunk = PackedChunkResult()
-    chunk.inj_wide = teredo
-    for index, (forged, variant) in enumerate(rows.values()):
+    metas, counts, payloads = [], [], []
+    for forged, variant in rows.values():
         meta = variant
         if forged:
-            meta |= wire.FLAG_INJECTED
-            chunk.inj_counts.append(len(forged))
+            meta |= responses.FLAG_INJECTED
+            counts.append(len(forged))
             for address in forged:
                 if teredo:
-                    chunk.inj_answers.extend((address & _M64, address >> 64))
+                    payloads.extend((address & _M64, address >> 64))
                 else:
-                    chunk.inj_answers.append(address)
-        chunk.udp_idx.append(index)
-        chunk.udp_meta.append(meta)
+                    payloads.append(address)
+        metas.append(meta)
     table = ResponseTable(QNAME, resolved, wide=teredo)
-    table.extend(chunk, list(rows))
+    table.extend(list(rows), metas, counts, payloads)
     return Udp53Result(
         day=day, qname=QNAME, targets=len(rows), responders=set(rows),
         responses=table,

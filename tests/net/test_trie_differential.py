@@ -4,8 +4,9 @@
 (``tests/net/_trie_reference.py``) walks one bit at a time.  Over random
 prefix sets with interleaved inserts and removes (including /0, /128,
 nested prefixes and prefixes removed and inserted again) every query
-must answer alike: exact lookups, ``in``, longest match, coverage,
-covering prefixes, size and iteration order.
+must answer alike: exact lookups, ``in``, longest match (with and
+without its prefix), coverage, covering prefixes, size and iteration
+order.
 """
 
 from hypothesis import given, settings
@@ -38,7 +39,9 @@ def _assert_same(index, reference, probes, addresses):
         assert index.get(prefix, "absent") == reference.get(prefix, "absent")
         assert index.covering_prefix(prefix) == reference.covering_prefix(prefix)
     for address in addresses:
-        assert index.longest_match(address) == reference.longest_match(address)
+        match = reference.longest_match(address)
+        assert index.longest_match(address) == match
+        assert index.longest_value(address) == (None if match is None else match[1])
         assert index.covers(address) == reference.covers(address)
 
 

@@ -2,8 +2,7 @@
 
 A carried prefix merges bit-identically to a real probe only if
 ``IncrementalScheduler._replay`` reproduces, per target and protocol,
-exactly which probes the scan engine's ``_scan_chunk_packed`` lets
-through.  Each generated case is checked three ways: the lane-pass
+exactly which probes the scan engine's fused chunk scan lets through.  Each generated case is checked three ways: the lane-pass
 replay, the pre-change scalar ``_survivors`` (kept in the frozen
 reference scheduler), and the engine itself on a world in which every
 target answers every protocol, so a response is a survival.
@@ -16,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.faults import FaultPlan, LossBurst, RetryPolicy
-from repro.scan.engine import _ScanContext, _scan_chunk_packed
+from repro.scan.engine import FAST_PROTOCOLS
 from repro.scan.scheduler import BIT_UDP53, IncrementalScheduler
 from repro.scan.zmap import ZMapScanner
 from repro.simnet.hosts import DnsBehavior
@@ -62,16 +61,14 @@ def _engine_survivors(world, targets: List[int], day: int, seed: int,
         _AnsweringWorld(world), loss_rate=loss_rate, seed=seed,
         fault_plan=plan, retry=RetryPolicy(attempts=attempts),
     )
-    ctx = _ScanContext(scanner, day, QNAME)
-    assert not ctx.inject_possible
-    chunk = _scan_chunk_packed(scanner, targets, 0, day, QNAME, ctx, False, {})
-    masks = [0] * len(targets)
-    for index, indices in enumerate(chunk.fast_idx):
-        for position in indices:
-            masks[position] |= 1 << index
-    for position in chunk.udp_idx:
-        masks[position] |= BIT_UDP53
-    return masks
+    results, udp53 = scanner.scan_all_protocols(targets, day, QNAME)
+    assert not any(forged for _, _, forged in udp53.responses.observed())
+    found = [results[protocol].responders for protocol in FAST_PROTOCOLS]
+    return [
+        sum(1 << index for index, hits in enumerate(found) if target in hits)
+        | (BIT_UDP53 if target in udp53.responders else 0)
+        for target in targets
+    ]
 
 
 def _check(world, targets, day, seed, loss_rate, attempts, burst):
