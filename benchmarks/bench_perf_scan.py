@@ -1,7 +1,8 @@
-"""Scan-engine micro-benchmark: one fused scan day.
+"""Fused-scan micro-benchmark: one scan day.
 
 Times one full five-protocol scan day over the default-scale target pool
-with the fused engine and writes the timing to ``results/perf_scan.txt``.
+through the service's own scanner (``service.engine``, member 0 of its
+fleet) and writes the timing to ``results/perf_scan.txt``.
 
 The figure isolates the probe stage from the rest of the service loop;
 ``bench_service_runtime.py`` measures the end-to-end effect and
@@ -13,7 +14,6 @@ import time
 
 from repro.hitlist import HitlistService
 from repro.hitlist.service import ServiceSettings
-from repro.scan import ScanEngine
 
 SCAN_DAY = 0
 QNAME = "www.google.com"
@@ -24,10 +24,9 @@ def test_perf_scan_fused_day(world, config, emit):
     service = HitlistService(world, config, settings=settings)
     service.bootstrap(SCAN_DAY)
     targets = list(service._scan_pool)
-    engine = ScanEngine(service.scanner)
 
     start = time.perf_counter()
-    results, udp53 = engine.scan_all_protocols(targets, SCAN_DAY, QNAME)
+    results, udp53 = service.engine.scan_all_protocols(targets, SCAN_DAY, QNAME)
     seconds = time.perf_counter() - start
 
     responders = frozenset().union(

@@ -25,7 +25,6 @@ from repro.net.prefix import IPv6Prefix
 from repro.net.random_addr import spread_addresses
 from repro.net.trie import PrefixTrie
 from repro.obs.metrics import MetricsRegistry
-from repro.scan.engine import apd_wave_bitmaps
 from repro.scan.zmap import ZMapScanner
 
 _PROBE_COUNT = 16
@@ -162,7 +161,7 @@ class AliasedPrefixDetection:
         probe nonce mixes the prefix's round count, so repeated rounds
         (even on the same day, e.g. during bootstrap) draw independent
         addresses and therefore independent loss.  All prefixes go
-        through the engine's chunked columnar path in one wave: one
+        through the scanner's chunked columnar path in one wave: one
         ground-truth walk and one bulk loss draw per chunk of probes.
         """
         probe_lists = [
@@ -172,7 +171,7 @@ class AliasedPrefixDetection:
             )
             for prefix in prefixes
         ]
-        bitmaps = apd_wave_bitmaps(self._scanner, probe_lists, day)
+        bitmaps = self._scanner.apd_wave_bitmaps(probe_lists, day)
         full = (1 << _PROBE_COUNT) - 1
         for index, probes in enumerate(probe_lists):
             if len(probes) < _PROBE_COUNT:

@@ -421,9 +421,8 @@ class HitlistService:
             metrics=self.metrics,
             tracer=self.spans,
         )
-        #: member 0's scanner and engine: the paper's vantage
-        self.scanner = self.fleet.scanners[0]
-        self.engine = self.fleet.engines[0]
+        #: member 0's scanner: the paper's vantage
+        self.engine = self.fleet.scanners[0]
         if self.settings.scan_mode not in ("full", "incremental"):
             raise ValueError(
                 f"settings.scan_mode must be 'full' or 'incremental', "
@@ -480,6 +479,11 @@ class HitlistService:
         self._last_responsive: Dict[int, int] = {}
         self._prev_responsive_any: Set[int] = set()
         self._gfw_purge_applied = False
+        #: (day, responders, injected) of the last working scan, which
+        #: retention and publication read instead of re-probing
+        self._last_scan_full: Optional[
+            Tuple[int, Dict[Protocol, FrozenSet[int]], FrozenSet[int]]
+        ] = None
         #: per-source last successfully collected day; a failed source
         #: keeps its cursor so the missed window is retried next scan
         self._source_cursor: Dict[str, int] = {}
@@ -766,10 +770,10 @@ class HitlistService:
             excluded_now, must_probe = self._apply_30day_filter(day)
 
         # 5. scans — the fleet's shard/probe/reconcile cycle, which a
-        # fleet of one hands straight to its engine.  Under incremental
+        # fleet of one hands straight to its scanner.  Under incremental
         # scheduling the scheduler partitions the pool
         # fleet-globally (before sharding): only the probe set enters
-        # the engine's chunk loop, carried responders are folded in
+        # the scanner's chunk loop, carried responders are folded in
         # after its last chunk, and absorb() folds probed outcomes back
         # into the priority state and re-attributes carried-injected
         # responders that the GFW filter saw without response objects.
@@ -812,14 +816,11 @@ class HitlistService:
                     len(cleaning.injected_responders)
                 )
 
-        udp53_effective = (
-            cleaning.clean_responders if gfw_active else set(udp53.responders)
-        )
-
-        # 6. responsiveness bookkeeping
-        for address in other_responders | udp53_effective:
-            self._last_responsive[address] = day
-
+        # the raw, cleaned and published views of the scan.  The
+        # cleaned UDP/53 view is the responders minus ``injected`` (the
+        # set cleaning.clean_responders holds once absorb() has
+        # re-attributed carried-injected responders); the active filter
+        # publishes the cleaned view
         responders: Dict[Protocol, FrozenSet[int]] = {
             Protocol.ICMP: results[Protocol.ICMP].responders,
             Protocol.TCP80: results[Protocol.TCP80].responders,
@@ -828,34 +829,26 @@ class HitlistService:
             Protocol.UDP53: frozenset(udp53.responders),
         }
         injected = frozenset(cleaning.injected_responders)
+        cleaned = dict(responders)
+        cleaned[Protocol.UDP53] = responders[Protocol.UDP53] - injected
+        published = cleaned if gfw_active else responders
 
         published_counts = {
-            protocol: len(
-                responders[protocol] if not (gfw_active and protocol is Protocol.UDP53)
-                else udp53_effective
-            )
-            for protocol in ALL_PROTOCOLS
+            protocol: len(published[protocol]) for protocol in ALL_PROTOCOLS
         }
         cleaned_counts = {
-            protocol: len(
-                responders[protocol] - injected
-                if protocol is Protocol.UDP53
-                else responders[protocol]
-            )
-            for protocol in ALL_PROTOCOLS
+            protocol: len(cleaned[protocol]) for protocol in ALL_PROTOCOLS
         }
+        published_any: Set[int] = set().union(
+            *(published[protocol] for protocol in ALL_PROTOCOLS)
+        )
+        cleaned_any: Set[int] = set().union(
+            *(cleaned[protocol] for protocol in ALL_PROTOCOLS)
+        )
 
-        published_any: Set[int] = set()
-        cleaned_any: Set[int] = set()
-        for protocol in ALL_PROTOCOLS:
-            if gfw_active and protocol is Protocol.UDP53:
-                published_any |= udp53_effective
-            else:
-                published_any |= responders[protocol]
-            if protocol is Protocol.UDP53:
-                cleaned_any |= responders[protocol] - injected
-            else:
-                cleaned_any |= responders[protocol]
+        # 6. responsiveness bookkeeping
+        for address in published_any:
+            self._last_responsive[address] = day
 
         # churn (cleaned view), relative to the previous scan
         prev = self._prev_responsive_any
@@ -870,10 +863,7 @@ class HitlistService:
         self._prev_responsive_any = cleaned_any
         ever |= cleaned_any
         for protocol in ALL_PROTOCOLS:
-            if protocol is Protocol.UDP53:
-                history.ever_responsive[protocol] |= responders[protocol] - injected
-            else:
-                history.ever_responsive[protocol] |= responders[protocol]
+            history.ever_responsive[protocol] |= cleaned[protocol]
 
         # 7. the service's own traceroutes feed the next scan's input.
         # Incremental scheduling still traces the whole pool: probe
@@ -1020,7 +1010,7 @@ class HitlistService:
                     publish_dir=publish_dir,
                 ))
                 self._m_ckpt_write.observe(self.clock.now() - start)
-        stash = getattr(self, "_last_scan_full", None)
+        stash = self._last_scan_full
         if stash is not None and stash[0] not in self.history.retained:
             self._retain(stash[0])
         return self.history
@@ -1036,7 +1026,7 @@ class HitlistService:
         """
         from repro.publish.store import publication_artifacts
 
-        stash = getattr(self, "_last_scan_full", None)
+        stash = self._last_scan_full
         if stash is None or stash[0] != day:
             return None
         _day, responders, injected = stash
@@ -1073,7 +1063,7 @@ class HitlistService:
 
     def _retain(self, day: int) -> None:
         """Store full responder sets for the scan that just ran."""
-        stashed = getattr(self, "_last_scan_full", None)
+        stashed = self._last_scan_full
         if stashed is None or stashed[0] != day:
             raise ValueError(f"no scan data to retain for day {day}")
         _day, responders, injected = stashed

@@ -183,69 +183,50 @@ def _decode_by_protocol(data, factory):
     }
 
 
+def _encode_counts(counts) -> Dict[str, int]:
+    return {protocol.label: count for protocol, count in counts.items()}
+
+
+def _decode_counts(data) -> Dict[Any, int]:
+    return {_LABEL_TO_PROTOCOL[label]: int(count) for label, count in data.items()}
+
+
+def _decode_degraded(entries):
+    from repro.hitlist.service import DegradedReason
+
+    return tuple(DegradedReason.parse(entry) for entry in entries)
+
+
+#: ScanSnapshot field -> (encode, decode) for the fields JSON cannot
+#: carry as they are; every other field is stored under its own name
+_SNAPSHOT_CODECS = {
+    "published_counts": (_encode_counts, _decode_counts),
+    "cleaned_counts": (_encode_counts, _decode_counts),
+    "degraded": (list, _decode_degraded),
+}
+
+
 def _snapshot_to_dict(snapshot) -> Dict[str, Any]:
-    return {
-        "day": snapshot.day,
-        "input_total": snapshot.input_total,
-        "scan_target_count": snapshot.scan_target_count,
-        "probed_target_count": snapshot.probed_target_count,
-        "aliased_prefix_count": snapshot.aliased_prefix_count,
-        "published_counts": {
-            protocol.label: count
-            for protocol, count in snapshot.published_counts.items()
-        },
-        "cleaned_counts": {
-            protocol.label: count
-            for protocol, count in snapshot.cleaned_counts.items()
-        },
-        "published_total": snapshot.published_total,
-        "cleaned_total": snapshot.cleaned_total,
-        "injected_count": snapshot.injected_count,
-        "churn_new": snapshot.churn_new,
-        "churn_recurring": snapshot.churn_recurring,
-        "churn_gone": snapshot.churn_gone,
-        "excluded_now": snapshot.excluded_now,
-        "udp53_hit_rate": snapshot.udp53_hit_rate,
-        "degraded": list(snapshot.degraded),
-        "metrics": dict(snapshot.metrics),
-        "vantage": snapshot.vantage,
-    }
+    data = {}
+    for spec in dataclasses.fields(snapshot):
+        value = getattr(snapshot, spec.name)
+        codec = _SNAPSHOT_CODECS.get(spec.name)
+        data[spec.name] = value if codec is None else codec[0](value)
+    return data
 
 
 def _snapshot_from_dict(data: Dict[str, Any]):
-    from repro.hitlist.service import DegradedReason, ScanSnapshot
+    """A snapshot from its checkpoint entry; keys that older checkpoints
+    lack keep the dataclass defaults."""
+    from repro.hitlist.service import ScanSnapshot
 
-    return ScanSnapshot(
-        day=int(data["day"]),
-        input_total=int(data["input_total"]),
-        scan_target_count=int(data["scan_target_count"]),
-        probed_target_count=int(data.get("probed_target_count", -1)),
-        aliased_prefix_count=int(data["aliased_prefix_count"]),
-        published_counts={
-            _LABEL_TO_PROTOCOL[label]: int(count)
-            for label, count in data["published_counts"].items()
-        },
-        cleaned_counts={
-            _LABEL_TO_PROTOCOL[label]: int(count)
-            for label, count in data["cleaned_counts"].items()
-        },
-        published_total=int(data["published_total"]),
-        cleaned_total=int(data["cleaned_total"]),
-        injected_count=int(data["injected_count"]),
-        churn_new=int(data["churn_new"]),
-        churn_recurring=int(data["churn_recurring"]),
-        churn_gone=int(data["churn_gone"]),
-        excluded_now=int(data["excluded_now"]),
-        udp53_hit_rate=float(data.get("udp53_hit_rate", 0.0)),
-        degraded=tuple(
-            DegradedReason.parse(entry) for entry in data.get("degraded", ())
-        ),
-        metrics={
-            str(key): int(value)
-            for key, value in data.get("metrics", {}).items()
-        },
-        vantage=data.get("vantage"),
-    )
+    kwargs = {}
+    for spec in dataclasses.fields(ScanSnapshot):
+        if spec.name in data:
+            value = data[spec.name]
+            codec = _SNAPSHOT_CODECS.get(spec.name)
+            kwargs[spec.name] = value if codec is None else codec[1](value)
+    return ScanSnapshot(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +238,7 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
     history = service.history
     apd = service.apd
     gfw = service.gfw_filter
-    stash = getattr(service, "_last_scan_full", None)
+    stash = service._last_scan_full
     last_scan_full = None
     if stash is not None:
         day, responders, injected = stash
@@ -281,7 +262,7 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
             "source_cursor": dict(service._source_cursor),
             # member 0's total; a multi-member fleet also records every
             # member's in its own state below
-            "probes_sent": service.scanner.probes_sent,
+            "probes_sent": service.engine.probes_sent,
             "apd_probes_sent": apd._scanner.probes_sent,
             "last_scan_full": last_scan_full,
             # fleet survival state (retry/backoff bookkeeping and
@@ -357,7 +338,7 @@ def restore_service_state(service: "HitlistService", payload: Dict[str, Any]) ->
     service._source_cursor = {
         str(name): int(day) for name, day in state["source_cursor"].items()
     }
-    service.scanner.probes_sent = int(state["probes_sent"])
+    service.engine.probes_sent = int(state["probes_sent"])
     service.apd._scanner.probes_sent = int(state["apd_probes_sent"])
     fleet_state = state.get("fleet")
     if fleet_state is not None:

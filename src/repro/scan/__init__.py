@@ -8,7 +8,6 @@ the measurement ethics of Sec. 3.3.
 """
 
 from repro.scan.blocklist import Blocklist
-from repro.scan.engine import ScanEngine
 from repro.scan.responses import ResponseTable
 from repro.scan.scheduler import CarriedScan, IncrementalScheduler, ScanPlan
 from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
@@ -26,7 +25,6 @@ __all__ = [
     "IncrementalScheduler",
     "PrefixFingerprint",
     "ResponseTable",
-    "ScanEngine",
     "ScanPlan",
     "ScanResult",
     "TbtOutcome",

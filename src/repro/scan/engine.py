@@ -1,10 +1,11 @@
-"""Batched scan engine (the ZMap speed lesson).
+"""Fused scan kernels (the ZMap speed lesson).
 
-The engine is the only prober in the package.  A per-target,
+:class:`~repro.scan.zmap.ZMapScanner` is the only prober in the
+package; this module holds the kernels it runs.  A per-target,
 per-protocol prober walks the ground truth once per protocol and looks
 up region, host and origin AS again for each walk (the frozen reference
-in ``tests/scan/_scanner_reference.py`` still does).  The engine fuses
-all of it into one pass:
+in ``tests/scan/_scanner_reference.py`` still does).  The fused scan
+does all of it in one pass:
 
 * :meth:`SimInternet.probe_batch_arrays` answers response mask, origin
   AS and genuine-DNS behavior for a whole chunk in a single column-
@@ -14,12 +15,14 @@ all of it into one pass:
   finalizer chain per target.
 
 A scan walks its targets in fixed chunks of :data:`DEFAULT_CHUNK_SIZE`,
-which bounds the per-chunk column memory.  Each chunk adds its
-responders straight into the scan's own accumulators: the four
-fast-protocol responder sets, the packed UDP/53
-:class:`~repro.scan.responses.ResponseTable`, the control-domain NS
-log, the scannable list that per-AS rate limiting reads, and the
-count, burst and retry totals.
+which bounds the per-chunk column memory.  :func:`_scan_chunk` adds
+each chunk's responders straight into the scan's own accumulators
+(:class:`_ScanSink`): the four fast-protocol responder sets, the packed
+UDP/53 :class:`~repro.scan.responses.ResponseTable`, the control-domain
+NS log, the scannable list that per-AS rate limiting reads, and the
+count, burst and retry totals.  Everything a chunk reads of its vantage
+comes in the :class:`_ScanContext` the scanner builds per scan.
+:class:`_ApdWave` is the APD's two-protocol counterpart.
 
 Determinism contract (what checkpoint/resume and the deterministic
 metric families depend on): what a chunk adds is a function of
@@ -32,16 +35,14 @@ chunk boundaries fall.
 
 from __future__ import annotations
 
-import time
 from array import array
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util import mix64
 from repro.net.teredo import TEREDO_PREFIX
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
-from repro.protocols import DnsAnswer, Protocol, RecordType
+from repro.protocols import APD_PROTOCOLS, DnsAnswer, Protocol, RecordType
+from repro.runtime.faults import FaultPlan
+from repro.scan.blocklist import Blocklist
 from repro.scan.loss import FAST_SALT, loss_inners
 from repro.scan.responses import (
     FLAG_INJECTED, GENUINE_BROKEN_ANSWER, GENUINE_NOERROR, GENUINE_NXDOMAIN,
@@ -54,11 +55,8 @@ from repro.simnet.gfwsim import _TEREDO_SERVERS, InjectionMode
 from repro.simnet.hosts import DnsBehavior
 from repro.simnet.internet import ControlNsQuery, SimInternet
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.scan.scheduler import CarriedScan
-    from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
-
 _M64 = 0xFFFFFFFFFFFFFFFF
+_UINT64_SPAN = float(1 << 64)
 # SplitMix64 finalizer constants (kept in sync with repro._util.mix64,
 # inlined in the remaining scalar loops below)
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -70,15 +68,12 @@ _TEREDO_BASE = TEREDO_PREFIX.value
 FAST_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP443)
 
 #: every protocol of the fused scan, in metric-recording order
-_SCAN_PROTOCOLS = (*FAST_PROTOCOLS, Protocol.UDP53)
+SCAN_PROTOCOLS = (*FAST_PROTOCOLS, Protocol.UDP53)
 
 #: targets per scan chunk (and probes per APD wave group): small enough
 #: to bound per-chunk column memory, large enough that per-chunk
 #: overhead is noise
 DEFAULT_CHUNK_SIZE = 4096
-
-#: the two protocols of an APD spot check, in answer-mask bit order
-_APD_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80)
 
 #: one 0/1 answer byte -> one binary digit, for packing APD bitmaps
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -93,23 +88,43 @@ _BEHAVIOR_CODE = {
 
 
 class _ScanContext:
-    """Per-(scanner, day, qname) constants hoisted out of the hot loop."""
+    """What the chunks of one fused scan read: the vantage's world,
+    blocklist and fault plan, its GFW-crossing memo, and the per-(day,
+    qname) constants hoisted out of the hot loop."""
 
     __slots__ = (
-        "attempts", "loss_threshold", "threshold16", "fast_inner",
+        "internet", "is_blocked", "burst_lost", "crosses_cache", "day",
+        "qname", "attempts", "loss_threshold", "threshold16", "fast_inner",
         "udp_inner", "inject_possible", "resolved", "is_control", "mday",
         "inject_day_hash", "burst_cut", "inj_ranges",
     )
 
-    def __init__(self, scanner: "ZMapScanner", day: int, qname: str) -> None:
-        internet = scanner._internet
-        self.attempts = scanner._retry_attempts
-        self.loss_threshold = scanner._loss_threshold
-        self.threshold16 = int(scanner._loss_rate * 65536.0)
+    def __init__(
+        self,
+        internet: SimInternet,
+        blocklist: Blocklist,
+        plan: Optional[FaultPlan],
+        crosses_cache: Dict[Optional[int], bool],
+        seed: int,
+        loss_rate: float,
+        attempts: int,
+        day: int,
+        qname: str,
+    ) -> None:
+        self.internet = internet
+        self.is_blocked = blocklist.is_blocked if len(blocklist) else None
+        self.burst_lost = plan.burst_lost if plan is not None else None
+        #: GfwBoundary.crosses memo — day-independent, owned by the
+        #: scanner and kept for the whole campaign
+        self.crosses_cache = crosses_cache
+        self.day = day
+        self.qname = qname
+        self.attempts = attempts
+        self.loss_threshold = int(loss_rate * _UINT64_SPAN)
+        self.threshold16 = int(loss_rate * 65536.0)
         # inner mix64 of the loss formulas: constant per (day, attempt)
-        seed = scanner._seed
-        self.fast_inner = loss_inners(seed, day, FAST_SALT, self.attempts)
-        self.udp_inner = loss_inners(seed, day, int(Protocol.UDP53), self.attempts)
+        self.fast_inner = loss_inners(seed, day, FAST_SALT, attempts)
+        self.udp_inner = loss_inners(seed, day, int(Protocol.UDP53), attempts)
         gfw = internet.gfw
         self.inject_possible = (
             gfw.active_era(day) is not None and gfw.is_blocked(qname)
@@ -175,13 +190,7 @@ class _ScanSink:
 
 
 def _scan_chunk(
-    scanner: "ZMapScanner",
-    targets: Sequence[int],
-    day: int,
-    qname: str,
-    ctx: _ScanContext,
-    sink: _ScanSink,
-    crosses_cache: Dict[Optional[int], bool],
+    targets: Sequence[int], ctx: _ScanContext, sink: _ScanSink
 ) -> None:
     """Fused five-protocol scan of one chunk, added to ``sink``.
 
@@ -191,14 +200,15 @@ def _scan_chunk(
     single-protocol scan per protocol gives (the frozen reference
     prober in ``tests/scan/_scanner_reference.py``).  The outcome
     depends only on (scanner configuration, targets, day, qname);
-    besides ``sink`` only ``crosses_cache`` (a memo of the pure
+    besides ``sink`` only ``ctx.crosses_cache`` (a memo of the pure
     ``GfwBoundary.crosses``) is mutated.
     """
-    internet = scanner._internet
-    plan = scanner._fault_plan
+    internet = ctx.internet
+    day = ctx.day
+    qname = ctx.qname
 
-    if len(scanner._blocklist):
-        is_blocked = scanner._blocklist.is_blocked
+    is_blocked = ctx.is_blocked
+    if is_blocked is not None:
         live = [target for target in targets if not is_blocked(target)]
     else:
         live = targets
@@ -208,8 +218,8 @@ def _scan_chunk(
 
     # correlated loss bursts kill every probe of a target at once and
     # are not retryable — drop those targets before any draw
-    if plan is not None:
-        burst_lost = plan.burst_lost
+    burst_lost = ctx.burst_lost
+    if burst_lost is not None:
         kept = [target for target in live if not burst_lost(target, day)]
         sink.burst_targets += len(live) - len(kept)
         live = kept
@@ -257,6 +267,7 @@ def _scan_chunk(
             bulk_mix64_xor(packed, ctx.inject_day_hash, kit), kit
         )
         crosses = internet.gfw._boundary.crosses
+        crosses_cache = ctx.crosses_cache
         burst_cut = ctx.burst_cut
         inj_xor: List[int] = []
 
@@ -403,263 +414,40 @@ def _scan_chunk(
     sink.table.extend(udp_hits, udp_metas, inj_counts, payloads)
 
 
-class ScanEngine:
-    """Runs the fused five-protocol scan of one scanner, chunk by chunk.
+class _ApdWave:
+    """One APD wave of one vantage on one day: what its probe groups
+    read of the vantage, and its probe totals.
 
-    See the module docstring for the determinism contract.
+    The scanner builds it from its own configuration
+    (:meth:`~repro.scan.zmap.ZMapScanner.apd_wave_bitmaps`) and records
+    the totals once the wave is done.
     """
 
     def __init__(
         self,
-        scanner: "ZMapScanner",
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        vantage: Optional[str] = None,
+        internet: SimInternet,
+        blocklist: Blocklist,
+        plan: Optional[FaultPlan],
+        seed: int,
+        loss_rate: float,
+        attempts: int,
+        day: int,
     ) -> None:
-        self._scanner = scanner
-        self._tracer = tracer
-        #: fleet member this engine scans for; labels its probe spans so
-        #: traces of a multi-vantage campaign attribute chunk time
-        self._vantage = vantage
-        self._span_attrs = {"vantage": vantage} if vantage is not None else {}
-        #: GfwBoundary.crosses memo — day-independent, lives for the
-        #: whole campaign
-        self._crosses_cache: Dict[Optional[int], bool] = {}
-        self._m_chunks = None
-        if metrics is not None:
-            # volatile: the chunk count and durations describe how the
-            # scan was cut, not what it found
-            self._m_chunks = metrics.counter(
-                "repro_engine_chunks_total",
-                "Fused scan chunks processed by the scan engine.",
-                volatile=True)
-            self._m_fused_targets = metrics.counter(
-                "repro_engine_fused_targets_total",
-                "Targets answered by the fused ground-truth pass.")
-            self._m_chunk_seconds = metrics.histogram(
-                "repro_engine_chunk_seconds",
-                "Wall-clock duration per scan-engine chunk.", volatile=True)
-
-    # ------------------------------------------------------------------
-    # scanning
-
-    def scan_all_protocols(
-        self, targets: Sequence[int], day: int, qname: str,
-        carried: Optional["CarriedScan"] = None,
-    ) -> Tuple[Dict[Protocol, "ScanResult"], "Udp53Result"]:
-        """Fused scan of all five hitlist protocols over one target set.
-
-        Backs ``ZMapScanner.scan_all_protocols``.  Responder sets,
-        metric totals, retry/burst accounting and the control-NS log are
-        identical for any chunk size.
-
-        ``carried`` (from the incremental scheduler) folds previously
-        probed responders into the results without probing them:
-        their addresses join the responder sets and target counts after
-        the probe metrics flush, so ``repro_probes_sent_total`` reflects
-        only real probes.  Carried UDP/53 responders have no row in the
-        response table — injection re-attribution happens in the
-        scheduler's ``absorb`` step.
-        """
-        from repro.scan.zmap import ScanResult, Udp53Result
-
-        scanner = self._scanner
-        plan = scanner._fault_plan
-        table = _response_table(scanner._internet, day, qname)
-        udp53 = Udp53Result(day=day, qname=qname, responses=table)
-        if plan is not None and plan.vantage_down(day):
-            empty = {
-                protocol: ScanResult(
-                    protocol=protocol, day=day, targets=0, responders=frozenset()
-                )
-                for protocol in FAST_PROTOCOLS
-            }
-            return empty, udp53
-
-        if not isinstance(targets, list):
-            targets = list(targets)
-        limited = plan is not None and any(
-            plan.limits_protocol(protocol)
-            for protocol in _SCAN_PROTOCOLS
-        )
-        sink = _ScanSink(
-            table, [] if limited else None, scanner._internet.control_ns_log
-        )
-        chunks = self._run_chunks(targets, day, qname, sink)
-        fast_sets = sink.fast
-        count = sink.count
-        udp53.targets = count
-        udp53.responders.update(table)
-
-        # per-AS rate limiting needs the full probed list, so it runs
-        # after the last chunk (identical to the pre-engine per-scan
-        # ordering); responders dropped per protocol, in _SCAN_PROTOCOLS
-        # order
-        rate_limited = [0] * len(_SCAN_PROTOCOLS)
-        if limited:
-            internet = scanner._internet
-            scannable = sink.scannable
-
-            def origin(address: int) -> Optional[int]:
-                return internet.origin_as(address, day)
-
-            for index, protocol in enumerate(FAST_PROTOCOLS):
-                if plan.limits_protocol(protocol):
-                    suppressed = plan.suppressed_responders(
-                        scannable, protocol, day, origin
-                    )
-                    rate_limited[index] = len(fast_sets[index] & suppressed)
-                    fast_sets[index] -= suppressed
-            if plan.limits_protocol(Protocol.UDP53):
-                for address in plan.suppressed_responders(
-                    scannable, Protocol.UDP53, day, origin
-                ):
-                    if address in udp53.responders:
-                        rate_limited[-1] += 1
-                    udp53.responders.discard(address)
-                    table.drop(address)
-
-        if self._m_chunks is not None:
-            self._m_chunks.inc(chunks)
-            self._m_fused_targets.inc(count)
-        _record_probes(
-            scanner, _SCAN_PROTOCOLS, count, sink.burst_targets,
-            sink.retry_draws,
-            [len(found) for found in fast_sets] + [len(udp53.responders)],
-            rate_limited,
-        )
-        if carried is not None and carried.targets:
-            count += carried.targets
-            for found, replayed in zip(fast_sets, carried.fast):
-                found |= replayed
-            udp53.responders |= carried.udp_responders
-            udp53.targets = count
-        results = {
-            protocol: ScanResult(
-                protocol=protocol, day=day, targets=count,
-                responders=frozenset(fast_sets[index]),
-            )
-            for index, protocol in enumerate(FAST_PROTOCOLS)
-        }
-        return results, udp53
-
-    def _run_chunks(
-        self, targets: List[int], day: int, qname: str, sink: _ScanSink
-    ) -> int:
-        """Scan ``targets`` into ``sink`` in chunk order; the chunk count."""
-        if not targets:
-            return 0
-        scanner = self._scanner
-        ctx = _ScanContext(scanner, day, qname)
-        tracer = self._tracer
-        observe = (
-            self._m_chunk_seconds.observe if self._m_chunks is not None else None
-        )
-        chunk_size = DEFAULT_CHUNK_SIZE
-        starts = range(0, len(targets), chunk_size)
-        for index, start in enumerate(starts):
-            began = time.perf_counter()
-            with (
-                tracer.span("probe-chunk", day=day, chunk=index, **self._span_attrs)
-                if tracer is not None else nullcontext()
-            ):
-                _scan_chunk(
-                    scanner, targets[start:start + chunk_size], day, qname,
-                    ctx, sink, self._crosses_cache,
-                )
-            if observe is not None:
-                observe(time.perf_counter() - began)
-        return len(starts)
-
-
-def _record_probes(
-    scanner: "ZMapScanner",
-    protocols: Sequence[Protocol],
-    count: int,
-    burst_targets: int,
-    retry_draws: int,
-    hits: Sequence[int],
-    rate_limited: Sequence[int],
-) -> None:
-    """Record one scan's (or APD wave's) probes into the scanner's metrics.
-
-    Each of ``count`` scannable targets got one probe per protocol; a
-    burst target lost all of them.  ``hits`` and ``rate_limited`` run
-    parallel to ``protocols``.
-    """
-    scanner.probes_sent += len(protocols) * count
-    if scanner._metrics is None:
-        return
-    if retry_draws:
-        scanner._m_retries.inc(retry_draws)
-    if burst_targets:
-        scanner._m_burst.inc(len(protocols) * burst_targets)
-    for protocol, hit_count, limited in zip(protocols, hits, rate_limited):
-        label = protocol.label
-        scanner._m_probes.labels(protocol=label).inc(count)
-        scanner._m_hits.labels(protocol=label).inc(hit_count)
-        if limited:
-            scanner._m_rate_limited.labels(protocol=label).inc(limited)
-
-
-def apd_wave_bitmaps(
-    scanner: "ZMapScanner",
-    probe_lists: Sequence[Sequence[int]],
-    day: int,
-) -> List[int]:
-    """ICMP + TCP/80 answer bitmaps for a wave of APD probe lists.
-
-    Bit ``i`` of entry ``p`` is set when probe ``i`` of ``probe_lists[p]``
-    answered ICMP or TCP/80.  Each entry is what an ICMP and a TCP/80
-    scan of that list alone report — same loss draws, retry-draw
-    accounting, burst counting, per-list rate limiting, ``probes_sent``
-    and metric totals — but lists are probed in groups
-    of at most :data:`DEFAULT_CHUNK_SIZE` probes: one mask-only
-    ground-truth walk and one bulk loss draw per (protocol, attempt)
-    per group.  Metrics flush once per wave.
-    """
-    if not probe_lists:
-        return []
-    plan = scanner._fault_plan
-    if plan is not None and plan.vantage_down(day):
-        # an outage sends no probe and records no metric
-        return [0] * len(probe_lists)
-    wave = _ApdWave(scanner, day)
-    bitmaps: List[int] = []
-    group: List[Sequence[int]] = []
-    size = 0
-    for probes in probe_lists:
-        if size + len(probes) > DEFAULT_CHUNK_SIZE and group:
-            bitmaps.extend(wave.probe(group))
-            group, size = [], 0
-        group.append(probes)
-        size += len(probes)
-    bitmaps.extend(wave.probe(group))
-    _record_probes(
-        scanner, _APD_PROTOCOLS, wave.count, wave.burst, wave.retry_draws,
-        wave.hits, wave.rate_limited,
-    )
-    return bitmaps
-
-
-class _ApdWave:
-    """Per-(scanner, day) state and probe totals of one
-    :func:`apd_wave_bitmaps` call."""
-
-    def __init__(self, scanner: "ZMapScanner", day: int) -> None:
-        self.scanner = scanner
+        self.internet = internet
+        self.blocklist = blocklist
         self.day = day
-        plan = scanner._fault_plan
         self.plan = plan
-        self.burst_lost = plan.burst_lost if plan is not None and plan.bursts else None
+        self.burst_lost: Optional[Callable[[int, int], bool]] = (
+            plan.burst_lost if plan is not None and plan.bursts else None
+        )
         self.limits = tuple(
             plan is not None and plan.limits_protocol(protocol)
-            for protocol in _APD_PROTOCOLS
+            for protocol in APD_PROTOCOLS
         )
-        self.loss_threshold = scanner._loss_threshold
+        self.loss_threshold = int(loss_rate * _UINT64_SPAN)
         self.inners = tuple(
-            loss_inners(scanner._seed, day, int(protocol), scanner._retry_attempts)
-            for protocol in _APD_PROTOCOLS
+            loss_inners(seed, day, int(protocol), attempts)
+            for protocol in APD_PROTOCOLS
         )
         self.count = 0
         self.burst = 0
@@ -667,9 +455,24 @@ class _ApdWave:
         self.hits = [0, 0]
         self.rate_limited = [0, 0]
 
+    def bitmaps(self, probe_lists: Sequence[Sequence[int]]) -> List[int]:
+        """Answer bitmaps of ``probe_lists``, probed in groups of whole
+        lists of at most :data:`DEFAULT_CHUNK_SIZE` probes."""
+        bitmaps: List[int] = []
+        group: List[Sequence[int]] = []
+        size = 0
+        for probes in probe_lists:
+            if size + len(probes) > DEFAULT_CHUNK_SIZE and group:
+                bitmaps.extend(self.probe(group))
+                group, size = [], 0
+            group.append(probes)
+            size += len(probes)
+        bitmaps.extend(self.probe(group))
+        return bitmaps
+
     def probe(self, group: List[Sequence[int]]) -> List[int]:
         """Bitmaps for one group of probe lists (one chunk of probes)."""
-        scanner = self.scanner
+        internet = self.internet
         day = self.day
         flat: List[int] = []
         for probes in group:
@@ -678,7 +481,7 @@ class _ApdWave:
         # on-wire flags (1 per probe that is neither blocked nor
         # swallowed by a burst); None when every probe goes out
         wire_flags: Optional[bytearray] = None
-        blocklist = scanner._blocklist
+        blocklist = self.blocklist
         burst_lost = self.burst_lost
         if len(blocklist) or burst_lost is not None:
             is_blocked = blocklist.is_blocked if len(blocklist) else None
@@ -701,12 +504,12 @@ class _ApdWave:
             self.burst += burst
             masks = bytearray(n)
             for position, mask in zip(
-                positions, scanner._internet.probe_masks(on_wire, day)
+                positions, internet.probe_masks(on_wire, day)
             ):
                 masks[position] = mask
         else:
             self.count += n
-            masks = scanner._internet.probe_masks(flat, day)
+            masks = internet.probe_masks(flat, day)
         answers = int.from_bytes(masks, "little")
 
         # per probe and protocol: 1 in the probe's byte when a probe of
@@ -783,10 +586,9 @@ class _ApdWave:
         self, group: List[Sequence[int]], n: int, icmp_hits: int, tcp_hits: int
     ) -> Tuple[int, int]:
         """Drop rate-limited responders, list by list (each list is one scan)."""
-        scanner = self.scanner
-        internet = scanner._internet
+        internet = self.internet
         day = self.day
-        blocklist = scanner._blocklist
+        blocklist = self.blocklist
         hit_bytes = [
             bytearray(icmp_hits.to_bytes(n, "little")),
             bytearray(tcp_hits.to_bytes(n, "little")),
@@ -798,7 +600,7 @@ class _ApdWave:
         offset = 0
         for probes in group:
             scannable = [probe for probe in probes if not blocklist.is_blocked(probe)]
-            for index, protocol in enumerate(_APD_PROTOCOLS):
+            for index, protocol in enumerate(APD_PROTOCOLS):
                 if not self.limits[index]:
                     continue
                 suppressed = self.plan.suppressed_responders(

@@ -7,9 +7,10 @@ oracle does not model: per-probe packet loss, deterministic per
 *different* scans lose different probes — exactly the noise the APD's
 merge-with-previous-scans logic exists to absorb.
 
-:class:`ZMapScanner` holds the vantage's configuration (world,
-blocklist, loss, retries, fault plan) and its probe metrics; the probes
-themselves go through :mod:`repro.scan.engine`.
+:class:`ZMapScanner` is one vantage's prober: it holds the vantage's
+configuration (world, blocklist, loss, retries, fault plan), its probe
+counter, metric handles and tracer, and runs the fused scan and the
+APD's probe waves over the kernels in :mod:`repro.scan.engine`.
 
 Like the real ZMap, the UDP/53 module counts **any** DNS response from
 the target's address as success — which is precisely how GFW-injected
@@ -18,17 +19,23 @@ forgeries poison the hitlist (Sec. 4.2).
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
-from repro.protocols import Protocol
+from repro.obs.tracing import Tracer
+from repro.protocols import APD_PROTOCOLS, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
+from repro.scan import engine
 from repro.scan.blocklist import Blocklist
+from repro.scan.engine import FAST_PROTOCOLS, SCAN_PROTOCOLS
 from repro.scan.responses import ResponseTable
 from repro.simnet.internet import SimInternet
 
-_UINT64_SPAN = float(1 << 64)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.scan.scheduler import CarriedScan
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,16 @@ class Udp53Result:
 
 
 class ZMapScanner:
-    """One vantage's scan configuration, probe counter and metric handles.
+    """One vantage's prober: configuration, probe counter, metric
+    handles and tracer.
 
-    :meth:`scan_all_protocols` probes through a serial
-    :class:`~repro.scan.engine.ScanEngine`; the service and the vantage
-    fleet drive their own engines over the same scanner, and the APD
-    probes through :func:`~repro.scan.engine.apd_wave_bitmaps`.
+    :meth:`scan_all_protocols` runs the fused five-protocol scan chunk
+    by chunk, and :meth:`apd_wave_bitmaps` the APD's ICMP + TCP/80
+    spot checks; both count their probes in :attr:`probes_sent` and
+    the scanner's metrics.  ``tracer`` records one ``probe-chunk`` span
+    per chunk, labelled with ``vantage`` when given (a fleet member
+    passes its id).
+    See :mod:`repro.scan.engine` for the determinism contract.
     """
 
     def __init__(
@@ -93,20 +104,24 @@ class ZMapScanner:
         fault_plan: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
+        tracer: Optional[Tracer] = None,
+        vantage: Optional[str] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss rate out of range: {loss_rate}")
         self._internet = internet
         self._blocklist = blocklist or Blocklist()
         self._loss_rate = loss_rate
-        self._loss_threshold = int(loss_rate * _UINT64_SPAN)
         self._seed = seed
         self._fault_plan = fault_plan
         self._retry_attempts = 1 if retry is None else retry.attempts
         self.probes_sent = 0
         self._metrics = metrics
-        #: lazily created serial engine backing :meth:`scan_all_protocols`
-        self._engine = None
+        self._tracer = tracer
+        self._span_attrs = {"vantage": vantage} if vantage is not None else {}
+        #: GfwBoundary.crosses memo — day-independent, lives for the
+        #: whole campaign
+        self._crosses_cache: Dict[Optional[int], bool] = {}
         if metrics is not None:
             self._m_probes = metrics.counter(
                 "repro_probes_sent_total", "Probes sent, by protocol.",
@@ -124,6 +139,18 @@ class ZMapScanner:
                 "repro_rate_limited_total",
                 "Responders dropped by per-AS rate limiting, by protocol.",
                 ("protocol",))
+            # volatile: the chunk count and durations describe how the
+            # scan was cut, not what it found
+            self._m_chunks = metrics.counter(
+                "repro_engine_chunks_total",
+                "Fused scan chunks processed by the scan engine.",
+                volatile=True)
+            self._m_fused_targets = metrics.counter(
+                "repro_engine_fused_targets_total",
+                "Targets answered by the fused ground-truth pass.")
+            self._m_chunk_seconds = metrics.histogram(
+                "repro_engine_chunk_seconds",
+                "Wall-clock duration per scan-engine chunk.", volatile=True)
 
     @property
     def blocklist(self) -> Blocklist:
@@ -131,18 +158,189 @@ class ZMapScanner:
         return self._blocklist
 
     def scan_all_protocols(
-        self, targets: Iterable[int], day: int, qname: str
+        self, targets: Iterable[int], day: int, qname: str,
+        carried: Optional["CarriedScan"] = None,
     ) -> Tuple[Dict[Protocol, ScanResult], Udp53Result]:
-        """Run the full hitlist protocol suite against one target set.
+        """Fused scan of all five hitlist protocols over one target set.
 
-        One fused ground-truth pass per target (see
-        :mod:`repro.scan.engine`).  Loss stays independent per (target,
-        protocol, day): the four fast probes draw from disjoint 16-bit
-        slices of one 64-bit hash, UDP/53 from its own 64-bit draw.
+        One ground-truth pass per target.  Loss stays independent per
+        (target, protocol, day): the four fast probes draw from disjoint
+        16-bit slices of one 64-bit hash, UDP/53 from its own 64-bit
+        draw.  Responder sets, metric totals, retry/burst accounting and
+        the control-NS log are identical for any chunk size.
+
+        ``carried`` (from the incremental scheduler) folds previously
+        probed responders into the results without probing them:
+        their addresses join the responder sets and target counts after
+        the probe metrics flush, so ``repro_probes_sent_total`` reflects
+        only real probes.  Carried UDP/53 responders have no row in the
+        response table — injection re-attribution happens in the
+        scheduler's ``absorb`` step.
         """
-        engine = self._engine
-        if engine is None:
-            from repro.scan.engine import ScanEngine
+        plan = self._fault_plan
+        internet = self._internet
+        table = engine._response_table(internet, day, qname)
+        udp53 = Udp53Result(day=day, qname=qname, responses=table)
+        if plan is not None and plan.vantage_down(day):
+            empty = {
+                protocol: ScanResult(
+                    protocol=protocol, day=day, targets=0, responders=frozenset()
+                )
+                for protocol in FAST_PROTOCOLS
+            }
+            return empty, udp53
 
-            engine = self._engine = ScanEngine(self)
-        return engine.scan_all_protocols(targets, day, qname)
+        if not isinstance(targets, list):
+            targets = list(targets)
+        limited = plan is not None and any(
+            plan.limits_protocol(protocol)
+            for protocol in SCAN_PROTOCOLS
+        )
+        sink = engine._ScanSink(
+            table, [] if limited else None, internet.control_ns_log
+        )
+        chunks = self._run_chunks(targets, day, qname, sink)
+        fast_sets = sink.fast
+        count = sink.count
+        udp53.targets = count
+        udp53.responders.update(table)
+
+        # per-AS rate limiting needs the full probed list, so it runs
+        # after the last chunk; responders dropped per protocol, in
+        # SCAN_PROTOCOLS order
+        rate_limited = [0] * len(SCAN_PROTOCOLS)
+        if limited:
+            scannable = sink.scannable
+
+            def origin(address: int) -> Optional[int]:
+                return internet.origin_as(address, day)
+
+            for index, protocol in enumerate(FAST_PROTOCOLS):
+                if plan.limits_protocol(protocol):
+                    suppressed = plan.suppressed_responders(
+                        scannable, protocol, day, origin
+                    )
+                    rate_limited[index] = len(fast_sets[index] & suppressed)
+                    fast_sets[index] -= suppressed
+            if plan.limits_protocol(Protocol.UDP53):
+                for address in plan.suppressed_responders(
+                    scannable, Protocol.UDP53, day, origin
+                ):
+                    if address in udp53.responders:
+                        rate_limited[-1] += 1
+                    udp53.responders.discard(address)
+                    table.drop(address)
+
+        if self._metrics is not None:
+            self._m_chunks.inc(chunks)
+            self._m_fused_targets.inc(count)
+        self._record_probes(
+            SCAN_PROTOCOLS, count, sink.burst_targets, sink.retry_draws,
+            [len(found) for found in fast_sets] + [len(udp53.responders)],
+            rate_limited,
+        )
+        if carried is not None and carried.targets:
+            count += carried.targets
+            for found, replayed in zip(fast_sets, carried.fast):
+                found |= replayed
+            udp53.responders |= carried.udp_responders
+            udp53.targets = count
+        results = {
+            protocol: ScanResult(
+                protocol=protocol, day=day, targets=count,
+                responders=frozenset(fast_sets[index]),
+            )
+            for index, protocol in enumerate(FAST_PROTOCOLS)
+        }
+        return results, udp53
+
+    def _run_chunks(
+        self, targets: List[int], day: int, qname: str, sink: "engine._ScanSink"
+    ) -> int:
+        """Scan ``targets`` into ``sink`` in chunk order; the chunk count."""
+        if not targets:
+            return 0
+        ctx = engine._ScanContext(
+            self._internet, self._blocklist, self._fault_plan,
+            self._crosses_cache, self._seed, self._loss_rate,
+            self._retry_attempts, day, qname,
+        )
+        tracer = self._tracer
+        observe = (
+            self._m_chunk_seconds.observe if self._metrics is not None else None
+        )
+        # looked up at scan time, not imported, so a chunk size set on
+        # repro.scan.engine takes effect here too
+        chunk_size = engine.DEFAULT_CHUNK_SIZE
+        starts = range(0, len(targets), chunk_size)
+        for index, start in enumerate(starts):
+            began = time.perf_counter()
+            with (
+                tracer.span("probe-chunk", day=day, chunk=index, **self._span_attrs)
+                if tracer is not None else nullcontext()
+            ):
+                engine._scan_chunk(targets[start:start + chunk_size], ctx, sink)
+            if observe is not None:
+                observe(time.perf_counter() - began)
+        return len(starts)
+
+    def apd_wave_bitmaps(
+        self, probe_lists: Sequence[Sequence[int]], day: int
+    ) -> List[int]:
+        """ICMP + TCP/80 answer bitmaps for a wave of APD probe lists.
+
+        Bit ``i`` of entry ``p`` is set when probe ``i`` of
+        ``probe_lists[p]`` answered ICMP or TCP/80.  Each entry is what
+        an ICMP and a TCP/80 scan of that list alone report — same loss
+        draws, retry-draw accounting, burst counting, per-list rate
+        limiting, ``probes_sent`` and metric totals — but lists are
+        probed in groups of at most
+        :data:`~repro.scan.engine.DEFAULT_CHUNK_SIZE` probes: one
+        mask-only ground-truth walk and one bulk loss draw per
+        (protocol, attempt) per group.  Metrics flush once per wave.
+        """
+        if not probe_lists:
+            return []
+        plan = self._fault_plan
+        if plan is not None and plan.vantage_down(day):
+            # an outage sends no probe and records no metric
+            return [0] * len(probe_lists)
+        wave = engine._ApdWave(
+            self._internet, self._blocklist, plan, self._seed,
+            self._loss_rate, self._retry_attempts, day,
+        )
+        bitmaps = wave.bitmaps(probe_lists)
+        self._record_probes(
+            APD_PROTOCOLS, wave.count, wave.burst, wave.retry_draws,
+            wave.hits, wave.rate_limited,
+        )
+        return bitmaps
+
+    def _record_probes(
+        self,
+        protocols: Sequence[Protocol],
+        count: int,
+        burst_targets: int,
+        retry_draws: int,
+        hits: Sequence[int],
+        rate_limited: Sequence[int],
+    ) -> None:
+        """Record one scan's (or APD wave's) probes.
+
+        Each of ``count`` scannable targets got one probe per protocol; a
+        burst target lost all of them.  ``hits`` and ``rate_limited`` run
+        parallel to ``protocols``.
+        """
+        self.probes_sent += len(protocols) * count
+        if self._metrics is None:
+            return
+        if retry_draws:
+            self._m_retries.inc(retry_draws)
+        if burst_targets:
+            self._m_burst.inc(len(protocols) * burst_targets)
+        for protocol, hit_count, limited in zip(protocols, hits, rate_limited):
+            label = protocol.label
+            self._m_probes.labels(protocol=label).inc(count)
+            self._m_hits.labels(protocol=label).inc(hit_count)
+            if limited:
+                self._m_rate_limited.labels(protocol=label).inc(limited)

@@ -1,7 +1,9 @@
 """The scan fleet: sharding, failover, reconciliation.
 
-Every campaign scans through a :class:`VantageFleet`.  A fleet of one
-is the campaign's own vantage (the paper's TUM vantage): its member
+Every campaign scans through a :class:`VantageFleet`, whose members
+are one :class:`~repro.scan.zmap.ZMapScanner` each; the fleet calls a
+member's ``scan_all_protocols`` directly.  A fleet of one is the
+campaign's own vantage (the paper's TUM vantage): its member
 probes the campaign world with the campaign's fault plan and seed, and
 the fleet adds no sharding, reconciliation, metric families, snapshot
 block or checkpoint state.  That rule lives in this module only.
@@ -34,12 +36,12 @@ killed mid-reconciliation resumes bit-identically.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro._util import mix64
 from repro.protocols import Protocol
-from repro.scan.engine import ScanEngine
 from repro.scan.zmap import ZMapScanner
 from repro.vantage.quorum import quorum_size, validate_policy
 
@@ -226,7 +228,6 @@ class VantageFleet:
 
         self.views = []
         self.scanners: List[ZMapScanner] = []
-        self.engines: List[ScanEngine] = []
         self.plans = []
         for spec in self.specs:
             if self._solo:
@@ -243,14 +244,11 @@ class VantageFleet:
             scanner = ZMapScanner(
                 view, blocklist=blocklist, loss_rate=loss_rate,
                 seed=member_seed, fault_plan=plan, retry=retry,
-                metrics=metrics,
+                metrics=metrics, tracer=tracer, vantage=label,
             )
             self.views.append(view)
             self.plans.append(plan)
             self.scanners.append(scanner)
-            self.engines.append(ScanEngine(
-                scanner, metrics=metrics, tracer=tracer, vantage=label,
-            ))
 
         # durable fleet survival state — rides in checkpoints
         self._fail_counts: Dict[str, int] = {}
@@ -500,9 +498,9 @@ class VantageFleet:
         """One fleet scan: shard, probe per vantage, reconcile.
 
         Returns ``(results, udp53, report)`` shaped exactly like the
-        single-engine :meth:`~repro.scan.engine.ScanEngine.
+        single-scanner :meth:`~repro.scan.zmap.ZMapScanner.
         scan_all_protocols` output plus a :class:`FleetScanReport`.  A
-        fleet of one hands the scan straight to its engine and reports
+        fleet of one hands the scan straight to its scanner and reports
         None.  Deterministic for any (vantage count x fault schedule):
         targets are walked in sorted order, vantages in spec
         order, and every reconciliation decision is a pure function of
@@ -512,10 +510,10 @@ class VantageFleet:
         responders.  Scheduler priorities are fleet-global, so carried
         targets never enter sharding or witness panels — they merge
         into the reconciled result after quorum, exactly as the
-        single-engine path merges them after its metrics flush.
+        single-scanner path merges them after its metrics flush.
         """
         if self._solo:
-            results, udp53 = self.engines[0].scan_all_protocols(
+            results, udp53 = self.scanners[0].scan_all_protocols(
                 targets, day, qname, carried=carried
             )
             return results, udp53, None
@@ -551,16 +549,14 @@ class VantageFleet:
         for i in live_indices:
             spec = self.specs[i]
             sharded = assignments[i]
-            if tracer is not None:
-                with tracer.span(
+            with (
+                tracer.span(
                     "vantage-scan", day=day, vantage=spec.vid,
                     targets=len(sharded),
-                ):
-                    results_i, udp_i = self.engines[i].scan_all_protocols(
-                        sharded, day, qname
-                    )
-            else:
-                results_i, udp_i = self.engines[i].scan_all_protocols(
+                )
+                if tracer is not None else nullcontext()
+            ):
+                results_i, udp_i = self.scanners[i].scan_all_protocols(
                     sharded, day, qname
                 )
             per_results[i] = results_i
@@ -576,13 +572,10 @@ class VantageFleet:
                 self._m_scans.labels(vantage=spec.vid, outcome="ok").inc()
                 self._m_targets.labels(vantage=spec.vid).inc(len(sharded))
 
-        if tracer is not None:
-            with tracer.span("reconcile", day=day):
-                merged = self._reconcile(
-                    day, qname, witness_panels, witness_dedup, live_indices,
-                    per_results, per_udp, report, carried,
-                )
-        else:
+        with (
+            tracer.span("reconcile", day=day)
+            if tracer is not None else nullcontext()
+        ):
             merged = self._reconcile(
                 day, qname, witness_panels, witness_dedup, live_indices,
                 per_results, per_udp, report, carried,

@@ -23,7 +23,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.protocols import DnsAnswer, DnsResponse, Protocol
 from repro.runtime.faults import FaultPlan, RateLimit
 from repro.scan import engine as engine_module
-from repro.scan.engine import ScanEngine
 from repro.scan.responses import ResponseTable
 from repro.scan.zmap import Udp53Result, ZMapScanner
 from repro.simnet import build_internet, small_config
@@ -66,8 +65,7 @@ def _era_day(world, mode):
 
 
 def _scan(world, targets, day, qname=QNAME):
-    engine = ScanEngine(ZMapScanner(world, seed=1))
-    return engine.scan_all_protocols(targets, day, qname)[1]
+    return ZMapScanner(world, seed=1).scan_all_protocols(targets, day, qname)[1]
 
 
 def _clean(udp53, responses_of=None):
@@ -187,8 +185,7 @@ def test_rate_limited_rows_dropped(world, targets):
         RateLimit(asn=cn_asn, budget=50, protocols=int(Protocol.UDP53)),
     ))
     scanner = ZMapScanner(world, seed=1, fault_plan=plan)
-    engine = ScanEngine(scanner)
-    udp53 = engine.scan_all_protocols(targets, day, QNAME)[1]
+    udp53 = scanner.scan_all_protocols(targets, day, QNAME)[1]
     assert len(udp53.responders) < len(unlimited.responders)
     assert set(udp53.responses) == udp53.responders
     scalar = ReferenceScanner(world, seed=1, fault_plan=plan).scan_udp53(
@@ -208,8 +205,8 @@ def test_three_vantage_fleet(config, targets):
     _results, udp53, report = fleet.scan(targets, day, QNAME)
     # every merged row decodes to what some member heard for it
     heard = [
-        engine.scan_all_protocols(targets, day, QNAME)[1].responses
-        for engine in fleet.engines
+        scanner.scan_all_protocols(targets, day, QNAME)[1].responses
+        for scanner in fleet.scanners
     ]
     assert report.witness_targets
     assert set(udp53.responses) <= udp53.responders
@@ -242,8 +239,8 @@ def test_plain_mapping_rejected():
 
 
 def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
-    """Engine scan plus cleaning of a forged-answer day: zero responses
-    built, and no per-answer state left behind in the engine."""
+    """Fused scan plus cleaning of a forged-answer day: zero responses
+    built, and no per-answer state left behind in the scanner."""
     built = []
     original = DnsResponse.__init__
 
@@ -252,8 +249,8 @@ def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(DnsResponse, "__init__", counting_init)
-    engine = ScanEngine(ZMapScanner(world, seed=1))
-    udp53 = engine.scan_all_protocols(
+    scanner = ZMapScanner(world, seed=1)
+    udp53 = scanner.scan_all_protocols(
         targets, _era_day(world, InjectionMode.A_RECORD), QNAME
     )[1]
     cleaning = GfwFilter(metrics=MetricsRegistry()).clean_scan(udp53)
@@ -261,9 +258,9 @@ def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
     assert forged > 1000 and cleaning.injected_responders
     assert built == []
 
-    assert not hasattr(engine, "_answer_cache")
+    assert not hasattr(scanner, "_answer_cache")
     containers = [
-        value for value in vars(engine).values()
+        value for value in vars(scanner).values()
         if isinstance(value, (dict, list, set, tuple))
     ]
     assert sum(len(value) for value in containers) < forged

@@ -1,9 +1,10 @@
 """Differential oracle: the APD wave pass against per-prefix scans.
 
 ``AliasedPrefixDetection._batch_bitmaps`` probes a whole wave of
-candidates through the engine's chunked columnar path; the frozen
-reference ``probe_bitmap`` (``tests/scan/_scanner_reference.py``) runs
-two plain single-protocol scans per prefix.  Two fresh detectors on one
+candidates through ``ZMapScanner.apd_wave_bitmaps``, the chunked
+columnar path; the frozen reference ``probe_bitmap``
+(``tests/scan/_scanner_reference.py``) runs two plain single-protocol
+scans per prefix.  Two fresh detectors on one
 world must agree on every bitmap, on ``probes_sent`` and on the
 deterministic metric state, whatever the loss, retry, blocklist and
 fault setup.
@@ -166,7 +167,7 @@ def test_vantage_outage_costs_nothing(small_world, wave):
     blocked=st.integers(min_value=0, max_value=8),
 )
 @settings(
-    max_examples=20, deadline=None,
+    max_examples=max(20, settings.default.max_examples), deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_generated_scenarios(

@@ -7,13 +7,16 @@ bit-identical to the uninterrupted baseline — including when the world
 is rebuilt from the serialized config instead of reusing the live one.
 """
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.hitlist import HitlistService, ServiceSettings
 from repro.hitlist.history_io import history_summary
+from repro.hitlist.service import DegradedReason, ScanSnapshot
 from repro.obs import deterministic_metrics, registry_to_dict
+from repro.protocols import ALL_PROTOCOLS, Protocol
 from repro.runtime import (
     CheckpointError,
     FaultPlan,
@@ -23,6 +26,7 @@ from repro.runtime import (
 )
 from repro.simnet import build_internet
 
+from repro.runtime.checkpoint import _snapshot_from_dict, _snapshot_to_dict
 from tests.runtime.conftest import SCAN_DAYS
 
 
@@ -130,7 +134,7 @@ class TestFleetCheckpointCompatibility:
         write_checkpoint(checkpoint, payload)
 
         resumed = HitlistService.resume(checkpoint)
-        assert resumed.scanner.probes_sent == state["fleet"]["probes_sent"][0]
+        assert resumed.engine.probes_sent == state["fleet"]["probes_sent"][0]
         _assert_identical(history, resumed.run())
         assert deterministic_metrics(
             registry_to_dict(resumed.metrics)
@@ -207,3 +211,59 @@ class TestCheckpointFormat:
         checkpoint.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             HitlistService.resume(str(checkpoint))
+
+
+class TestSnapshotCodec:
+    #: a snapshot whose every field differs from its dataclass default
+    SNAPSHOT = ScanSnapshot(
+        day=91,
+        input_total=5000,
+        scan_target_count=4200,
+        aliased_prefix_count=37,
+        probed_target_count=1300,
+        published_counts={p: 10 + i for i, p in enumerate(ALL_PROTOCOLS)},
+        cleaned_counts={p: 5 + i for i, p in enumerate(ALL_PROTOCOLS)},
+        published_total=400,
+        cleaned_total=390,
+        injected_count=12,
+        churn_new=3,
+        churn_recurring=4,
+        churn_gone=5,
+        excluded_now=6,
+        udp53_hit_rate=0.125,
+        degraded=(
+            DegradedReason.source("atlas"),
+            DegradedReason.vantage("vp1", "outage"),
+        ),
+        vantage={"live": ["vp0", "vp2"], "resharded": 9},
+        metrics={"probes_sent": 21000, "gfw_injected": 12},
+    )
+
+    def test_every_field_round_trips(self, tmp_path):
+        snapshot = self.SNAPSHOT
+        for spec in dataclasses.fields(ScanSnapshot):
+            if spec.default is not dataclasses.MISSING:
+                assert getattr(snapshot, spec.name) != spec.default, spec.name
+            elif spec.default_factory is not dataclasses.MISSING:
+                assert getattr(snapshot, spec.name) != spec.default_factory(), spec.name
+        entry = _snapshot_to_dict(snapshot)
+        assert list(entry) == [spec.name for spec in dataclasses.fields(ScanSnapshot)]
+        assert entry["published_counts"]["UDP/53"] == snapshot.published_counts[Protocol.UDP53]
+        path = str(tmp_path / "snapshot.ckpt")
+        write_checkpoint(path, {"snapshot": entry})
+        decoded = _snapshot_from_dict(read_checkpoint(path)["snapshot"])
+        assert decoded == snapshot
+        assert all(isinstance(reason, DegradedReason) for reason in decoded.degraded)
+        assert decoded.degraded[1].kind == "vantage"
+
+    def test_older_entry_falls_back_to_defaults(self):
+        entry = _snapshot_to_dict(self.SNAPSHOT)
+        for key in ("probed_target_count", "udp53_hit_rate", "degraded",
+                    "vantage", "metrics"):
+            del entry[key]
+        decoded = _snapshot_from_dict(entry)
+        assert decoded.probed_target_count == -1
+        assert decoded.udp53_hit_rate == 0.0
+        assert decoded.degraded == () and decoded.vantage is None
+        assert decoded.metrics == {}
+        assert decoded.cleaned_counts == self.SNAPSHOT.cleaned_counts

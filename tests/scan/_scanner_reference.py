@@ -1,8 +1,8 @@
 """Frozen scalar reference of the ZMap prober and the APD probe round.
 
-The scan engine (``repro.scan.engine``) is the only prober in the
-package: the fused five-protocol scan and the APD wave pass both run
-columnar chunks with bulk loss draws.  This module keeps the per-target
+``ZMapScanner`` is the only prober in the package: its fused
+five-protocol scan and its APD wave pass both run the columnar chunk
+kernels of ``repro.scan.engine`` with bulk loss draws.  This module keeps the per-target
 loops they replaced, one protocol per call, so differential tests can
 demand identical responder sets, responses, ``probes_sent`` and metric
 state from both.  Scanner configuration and metric handles come from
@@ -30,6 +30,8 @@ class ReferenceScanner(ZMapScanner):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        #: per-probe loss threshold on the 64-bit draw
+        self._loss_threshold = int(self._loss_rate * float(1 << 64))
         #: extra loss re-draws taken since the last metrics flush
         self._retry_draws = 0
 

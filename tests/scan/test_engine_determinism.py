@@ -1,7 +1,7 @@
-"""Scan-engine determinism: chunk boundaries must be invisible in the output.
+"""Fused-scan determinism: chunk boundaries must be invisible in the output.
 
-The engine walks a scan's targets in fixed chunks of
-``repro.scan.engine.DEFAULT_CHUNK_SIZE`` (4096) and merges the chunk
+The scanner walks a scan's targets in fixed chunks of
+``repro.scan.engine.DEFAULT_CHUNK_SIZE`` (4096) and adds the chunk
 results in chunk order.  At 4096 the small preset's early scans are a
 single chunk each, so the multi-chunk merge is exercised here by
 shrinking the constant: for any chunk size the service must produce
@@ -11,7 +11,7 @@ must finish identically.
 
 The ``workers`` tests keep the counts the engine's former process pool
 was checked at.  A pool of N workers split a scan into N shards; the
-in-process engine reproduces that partition by cutting the first scan's
+in-process scan reproduces that partition by cutting the first scan's
 targets into N chunks (later scans are cut at the same chunk size).
 """
 
@@ -21,7 +21,8 @@ from repro.hitlist import HitlistService
 from repro.hitlist.history_io import history_summary
 from repro.hitlist.service import ServiceSettings
 from repro.obs import deterministic_metrics, registry_to_dict
-from repro.scan import ScanEngine
+from repro.obs.metrics import MetricsRegistry
+from repro.scan import ZMapScanner
 from repro.scan import engine as engine_module
 from repro.simnet import build_internet, small_config
 
@@ -181,24 +182,37 @@ def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
     service = HitlistService(build_internet(config), config, settings=_settings(config))
     service.bootstrap(0)
     targets = list(service._scan_pool)
-    scanner = service.scanner
+    scanner = service.engine
+    world = service.internet
 
     calls = {"probe_batch": 0}
-    original = scanner._internet.probe_batch_arrays
+    original = world.probe_batch_arrays
 
     def counting_probe_batch(*args, **kwargs):
         calls["probe_batch"] += 1
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(world, "probe_batch_arrays", counting_probe_batch)
     monkeypatch.setattr(
-        scanner._internet, "probe_batch_arrays", counting_probe_batch
-    )
-    monkeypatch.setattr(
-        scanner._internet, "dns_probe",
+        world, "dns_probe",
         lambda *a, **k: pytest.fail("engine must not re-walk via dns_probe"),
     )
-    engine = ScanEngine(scanner)
-    results, udp = engine.scan_all_protocols(targets, 0, "www.google.com")
+    results, udp = scanner.scan_all_protocols(targets, 0, "www.google.com")
     expected_chunks = -(-len(targets) // chunk_size)
     assert calls["probe_batch"] == expected_chunks
     assert udp.responders, "fused pass still finds UDP/53 responders"
+
+
+def test_scanner_outside_a_fleet_records_chunk_metrics(config):
+    """A metrics-bearing scanner used on its own runs the same fused
+    scan as a fleet member: chunk and fused-target metrics included."""
+    world = build_internet(config)
+    metrics = MetricsRegistry()
+    scanner = ZMapScanner(world, metrics=metrics)
+    targets = sorted(world.ground_truth.get("initial_input"))
+    scanner.scan_all_protocols(targets, 0, "www.google.com")
+    chunks = -(-len(targets) // engine_module.DEFAULT_CHUNK_SIZE)
+    assert metrics.counter_total("repro_engine_chunks_total") == chunks
+    assert metrics.counter_total("repro_engine_fused_targets_total") == len(targets)
+    assert scanner.probes_sent == 5 * len(targets)
+    assert metrics.counter_total("repro_probes_sent_total") == scanner.probes_sent

@@ -1,11 +1,13 @@
-"""Differential oracle: the scheduler's loss replay against the engine.
+"""Differential oracle: the scheduler's loss replay against the fused scan.
 
 A carried prefix merges bit-identically to a real probe only if
 ``IncrementalScheduler._replay`` reproduces, per target and protocol,
-exactly which probes the scan engine's fused chunk scan lets through.  Each generated case is checked three ways: the lane-pass
-replay, the pre-change scalar ``_survivors`` (kept in the frozen
-reference scheduler), and the engine itself on a world in which every
-target answers every protocol, so a response is a survival.
+exactly which probes ``ZMapScanner``'s fused chunk scan lets through.
+Each generated case is checked three ways: the lane-pass replay, the
+pre-change scalar ``_survivors`` (kept in the frozen reference
+scheduler), and the scanner itself on a world in which every target
+answers every protocol, so a response is a survival.  The generated
+test draws at least 60 examples, more under the ``ci`` profile.
 """
 
 from typing import List, Optional
@@ -88,7 +90,7 @@ def _check(world, targets, day, seed, loss_rate, attempts, burst):
 addresses = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     targets=st.lists(addresses, min_size=1, max_size=80, unique=True),

@@ -8,7 +8,8 @@ scan mode {full, incremental} x publishing {off, on}.  Each cell runs a
 checkpoint drawn from the middle of the run.  The resumed run's
 ``summary.json``, deterministic metrics, ``responsive.txt`` and publish
 store must equal the uninterrupted run's, byte for byte.  Checkpoint
-bytes written after a resume are not compared.
+bytes written after a resume are not compared; their decoded state is,
+in ``tests/runtime/test_resume_checkpoints.py``.
 
 All cells share one built world: world generation is a pure function
 of the config, so rebuilding it per run would only cost time.  For the

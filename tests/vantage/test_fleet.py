@@ -13,7 +13,6 @@ import pytest
 from repro.obs import MetricsRegistry, registry_to_dict
 from repro.runtime.faults import FaultPlan, VantageDegradation, VantageOutage
 from repro.scan import engine as engine_module
-from repro.scan.engine import ScanEngine
 from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet, small_config
 from repro.vantage import VantageFleet, VantageSpec, default_vantage_specs
@@ -112,10 +111,10 @@ class TestFleetConstruction:
 
 class TestSingleVantageEquivalence:
     def test_matches_bare_engine_bitwise(self, config, targets):
-        """A one-member fleet is the plain engine at the campaign seed."""
+        """A one-member fleet is the plain scanner at the campaign seed."""
         world = build_internet(config)
-        engine = ScanEngine(ZMapScanner(world, seed=config.seed))
-        ref_results, ref_udp = engine.scan_all_protocols(targets, DAY, QNAME)
+        scanner = ZMapScanner(world, seed=config.seed)
+        ref_results, ref_udp = scanner.scan_all_protocols(targets, DAY, QNAME)
 
         fleet = _fleet(config, 1)
         results, udp53, report = fleet.scan(targets, DAY, QNAME)
