@@ -77,9 +77,10 @@ def answer_evidence(
     """Evidence of forgery carried by one answer record of a NOERROR response.
 
     The single per-answer test: :func:`classify_response` runs it over a
-    response object's answers, the GFW filter over the packed rows of a
-    scan's response table.  ``owners`` are the ASNs that legitimately
-    serve the queried domain.
+    response object's answers, the GFW filter once per A-record response
+    table and once per distinct high word of a Teredo one (its result
+    depends on nothing else there).  ``owners`` are the ASNs that
+    legitimately serve the queried domain.
     """
     if rtype is RecordType.A:
         if expected_rtype is RecordType.AAAA:

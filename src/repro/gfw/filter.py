@@ -11,14 +11,23 @@ Two roles, matching the paper's deployment in February 2022:
 * **historical cleaning**: addresses that ever showed injection but
   never answered any other protocol are dropped from the accumulated
   input outright (the paper's one-time removal of 134 M addresses).
+
+Cleaning follows the censor, not the hitlist: a Teredo-era scan carries
+over a hundred thousand forged answers.  So the scan's response table is
+read by column (:meth:`~repro.scan.responses.ResponseTable.columns`),
+with one evidence test per distinct Teredo high word and attribution
+counted off the low-word column.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Set
+from itertools import accumulate, chain, compress, repeat
+from operator import add, and_, gt, or_, sub, xor
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
@@ -30,7 +39,7 @@ from repro.gfw.detector import (
 from repro.net.teredo import is_teredo
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import RecordType
-from repro.scan.responses import ResponseTable
+from repro.scan.responses import GENUINE_NONE, ResponseTable
 from repro.scan.zmap import Udp53Result
 
 _MISSING = object()
@@ -48,6 +57,30 @@ def _ipv4s_of(rtype: RecordType, addresses: Iterable[int]) -> Iterable[int]:
             for address in addresses if is_teredo(address)
         ]
     return ()
+
+
+def _rows_with_any(counts: Sequence[int], flags: Sequence[bool]) -> List[bool]:
+    """Per row of ``counts`` consecutive ``flags``, whether any is set."""
+    seen = [0, *accumulate(flags)]
+    ends = list(accumulate(counts))
+    return list(map(
+        gt, map(seen.__getitem__, ends), map(seen.__getitem__, map(sub, ends, counts))
+    ))
+
+
+#: the 32-bit half of a native 64-bit word that holds its low bits
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
+
+def _teredo_clients(lows: array) -> Iterable[Tuple[int, int]]:
+    """``(client IPv4, answers)`` of Teredo low words, IPv4s distinct and
+    in first-seen order.
+
+    A Teredo address's low 32 bits are its client IPv4's ones-complement
+    (RFC 4380); they are counted straight off the words' memory.
+    """
+    halves = Counter(memoryview(lows).cast("B").cast("I")[_LOW_HALF::2])
+    return zip(map(xor, halves, repeat(0xFFFFFFFF)), halves.values())
 
 
 @dataclass
@@ -84,11 +117,18 @@ class GfwFilter:
 
     def _attribute(self, ipv4s: Iterable[int], times: int = 1) -> None:
         """Count forged-answer IPv4s, ``times`` each, against their owners."""
+        self._attribute_counts(Counter(ipv4s).items(), times)
+
+    def _attribute_counts(
+        self, tallies: Iterable[Tuple[int, int]], times: int = 1
+    ) -> None:
+        """Count ``(ipv4, answers)`` pairs of distinct IPv4s, ``times``
+        each, against their owners."""
         # forged answers recycle a small IPv4 pool, so owner lookups are
         # memoized (the whois scan dominated the per-scan cleaning cost)
         owner_cache = self._owner_cache
         owners = self.forged_answer_owners
-        for ipv4, count in Counter(ipv4s).items():
+        for ipv4, count in tallies:
             owner = owner_cache.get(ipv4, _MISSING)
             if owner is _MISSING:
                 owner = owner_cache[ipv4] = self._whois.owner_of(ipv4)
@@ -102,9 +142,9 @@ class GfwFilter:
         carries record-level evidence (:func:`answer_evidence`);
         ``MULTIPLE_RESPONSES`` alone is corroborating, not sufficient,
         and is counted only for injected responders.  The scan's
-        :class:`ResponseTable` is classified row by row without
-        building response objects; responders without a row (carried
-        forward by the incremental scheduler) are clean.
+        :class:`ResponseTable` is read by column without building
+        response objects; responders without a row (carried forward by
+        the incremental scheduler) are clean.
         """
         if not isinstance(result.responses, ResponseTable):
             raise TypeError(
@@ -124,54 +164,95 @@ class GfwFilter:
         self, responders: Set[int], table: ResponseTable,
         cleaning: ScanCleaningResult,
     ) -> None:
-        """Classify packed rows: each forged answer, and each genuine
-        response variant once per scan.  Evidence is tallied per scan
-        (``InjectionEvidence`` hashes in Python, so no per-row dicts)."""
-        rtype = table.forged_rtype
+        """Classify the table by column, without per-row lists.
+
+        :func:`answer_evidence` runs once for an A-record table, whose
+        forged answers all share one type, or once per distinct high
+        word of a Teredo table (``2001::/32`` lies inside it); each
+        genuine response variant is classified once per scan.  A row is
+        injected when one of its answers or its genuine variant carries
+        evidence.
+        """
+        rows = table.columns(responders)
+        counts, variants = rows.counts, rows.variants
+        found: Counter = Counter()  # record-level evidence of injected rows
+        # per forged answer, whether it carries evidence; None: all do
+        hot_answers: Optional[List[bool]] = None
+        if table.wide:
+            lows, highs = rows.answers
+            words = set(highs)
+            word_kind = {
+                high: answer_evidence(RecordType.AAAA, high << 64) for high in words
+            }
+            hot = {high for high in words if word_kind[high] is not None}
+            if len(hot) < len(words):
+                hot_answers = list(map(hot.__contains__, highs))
+            for kind in set(word_kind.values()) - {None}:
+                kind_words = {high for high in hot if word_kind[high] is kind}
+                found[kind] = (
+                    len(highs) if len(kind_words) == len(words)
+                    else sum(map(kind_words.__contains__, highs))
+                )
+        else:
+            (lows,) = rows.answers
+            kind = answer_evidence(RecordType.A, lows[0]) if lows else None
+            if kind is not None:
+                found[kind] = len(lows)
+            else:
+                hot_answers = [False] * len(lows)
+        # a row is evident when one of its answers is
+        evident: Sequence[int] = (
+            counts if hot_answers is None else _rows_with_any(counts, hot_answers)
+        )
+
+        variant_kind: Dict[int, InjectionEvidence] = {}
+        for variant in set(variants) - {GENUINE_NONE}:
+            kind = response_evidence(*table.genuine(variant))
+            if kind is not None:
+                variant_kind[variant] = kind
+        if variant_kind:
+            evident = list(map(
+                or_, map(bool, evident), map(variant_kind.__contains__, variants)
+            ))
+
         injected = cleaning.injected_responders
-        found: List[InjectionEvidence] = []  # record-level, injected rows
-        multiple = 0
-        forged_seen: List[int] = []  # forged answers of injected rows
-        variant_kind: Dict[int, Optional[InjectionEvidence]] = {}
-        variant_rows: Dict[int, int] = {}  # injected rows per variant
-        for responder, variant, forged in table.observed():
-            if responder not in responders:
-                continue
-            kinds = [
-                kind for kind in map(answer_evidence, repeat(rtype), forged)
-                if kind is not None
-            ]
-            if variant:
-                kind = variant_kind.get(variant, _MISSING)
-                if kind is _MISSING:
-                    kind = variant_kind[variant] = response_evidence(
-                        *table.genuine(variant)
-                    )
-                if kind is not None:
-                    kinds.append(kind)
-            if not kinds:
-                continue
-            injected.add(responder)
-            found += kinds
-            total = len(forged) + (1 if variant else 0)
-            if total > 1:
-                multiple += total
-            forged_seen += forged
-            if variant:
-                variant_rows[variant] = variant_rows.get(variant, 0) + 1
+        injected.update(compress(rows.responders, evident))
+        # every response of an injected row counts when there are several
+        totals = map(add, counts, map(bool, variants))
+        multiple = sum(filter((1).__lt__, compress(totals, evident)))
+        variant_rows = Counter(compress(variants, evident))
+        del variant_rows[GENUINE_NONE]
+        for variant, count in variant_rows.items():
+            if variant in variant_kind:
+                found[variant_kind[variant]] += count
         evidence = cleaning.evidence_counts
         for kind in InjectionEvidence:
-            count = found.count(kind)
-            if count:
-                evidence[kind] = count
+            if found[kind]:
+                evidence[kind] = found[kind]
         if multiple:
             evidence[InjectionEvidence.MULTIPLE_RESPONSES] = multiple
-        self._attribute(_ipv4s_of(rtype, forged_seen))
-        for variant, rows in variant_rows.items():
+
+        # attribute the forged answers of injected rows, in row order:
+        # every answer when each carries evidence
+        picked = (
+            None if hot_answers is None
+            else list(chain.from_iterable(map(repeat, map(bool, evident), counts)))
+        )
+        if table.wide:
+            teredo = {high for high in words if is_teredo(high << 64)}
+            if picked is not None or len(teredo) < len(words):
+                keep = map(teredo.__contains__, highs)
+                if picked is not None:
+                    keep = map(and_, picked, keep)
+                lows = array("Q", compress(lows, keep))
+            self._attribute_counts(_teredo_clients(lows))
+        else:
+            self._attribute(lows if picked is None else compress(lows, picked))
+        for variant, count in variant_rows.items():
             self._attribute((
                 ipv4 for answer in table.genuine(variant)[1]
                 for ipv4 in _ipv4s_of(answer.rtype, (answer.address,))
-            ), rows)
+            ), count)
         clean = set(responders)
         clean -= injected
         cleaning.clean_responders = clean

@@ -297,23 +297,37 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # correlated loss bursts
 
+    def bursts_on(self, day: int) -> Optional[Callable[[int], bool]]:
+        """``address -> lost`` under the loss bursts active on ``day``, or
+        None when no burst is: scans resolve the day once, and a
+        burst-free day costs no per-target call."""
+        # the victim band is anchored per window, not per day: the
+        # same cohort stays dark for the whole burst
+        windows = tuple(
+            (
+                mix64(self.seed ^ (burst.start_day << 16) ^ burst.end_day ^ 0xFA11),
+                int(burst.loss_rate * _UINT64_SPAN),
+            )
+            for burst in self.bursts
+            if burst.active(day)
+        )
+        if not windows:
+            return None
+        salt = mix64(self.seed ^ 0xB0B5)
+
+        def lost(address: int) -> bool:
+            draw = mix64((address & _M64) ^ (address >> 64) ^ salt)
+            for start, width in windows:
+                if (draw - start) % _UINT64_SPAN < width:
+                    return True
+            return False
+
+        return lost
+
     def burst_lost(self, address: int, day: int) -> bool:
         """True when a loss burst swallows probes to ``address`` today."""
-        if not self.bursts:
-            return False
-        draw = None
-        for burst in self.bursts:
-            if not burst.active(day):
-                continue
-            if draw is None:
-                draw = mix64((address & _M64) ^ (address >> 64) ^ mix64(self.seed ^ 0xB0B5))
-            # the victim band is anchored per window, not per day: the
-            # same cohort stays dark for the whole burst
-            start = mix64(self.seed ^ (burst.start_day << 16) ^ burst.end_day ^ 0xFA11)
-            width = int(burst.loss_rate * _UINT64_SPAN)
-            if (draw - start) % _UINT64_SPAN < width:
-                return True
-        return False
+        lost = self.bursts_on(day)
+        return lost is not None and lost(address)
 
     # ------------------------------------------------------------------
     # per-AS rate limiting

@@ -113,7 +113,8 @@ class _ScanContext:
     ) -> None:
         self.internet = internet
         self.is_blocked = blocklist.is_blocked if len(blocklist) else None
-        self.burst_lost = plan.burst_lost if plan is not None else None
+        #: None on a day without an active loss burst
+        self.burst_lost = plan.bursts_on(day) if plan is not None else None
         #: GfwBoundary.crosses memo — day-independent, owned by the
         #: scanner and kept for the whole campaign
         self.crosses_cache = crosses_cache
@@ -220,7 +221,7 @@ def _scan_chunk(
     # are not retryable — drop those targets before any draw
     burst_lost = ctx.burst_lost
     if burst_lost is not None:
-        kept = [target for target in live if not burst_lost(target, day)]
+        kept = [target for target in live if not burst_lost(target)]
         sink.burst_targets += len(live) - len(kept)
         live = kept
 
@@ -437,8 +438,8 @@ class _ApdWave:
         self.blocklist = blocklist
         self.day = day
         self.plan = plan
-        self.burst_lost: Optional[Callable[[int, int], bool]] = (
-            plan.burst_lost if plan is not None and plan.bursts else None
+        self.burst_lost: Optional[Callable[[int], bool]] = (
+            plan.bursts_on(day) if plan is not None else None
         )
         self.limits = tuple(
             plan is not None and plan.limits_protocol(protocol)
@@ -494,7 +495,7 @@ class _ApdWave:
                 if is_blocked is not None and is_blocked(probe):
                     continue
                 scannable += 1
-                if burst_lost is not None and burst_lost(probe, day):
+                if burst_lost is not None and burst_lost(probe):
                     burst += 1
                     continue
                 wire_flags[position] = 1

@@ -24,14 +24,19 @@ The table is a read-only ``Mapping[int, Tuple[DnsResponse, ...]]``:
 ``table[responder]`` builds exactly the responses
 ``SimInternet.dns_probe`` returns for that responder (forgeries first,
 then the genuine response), and ``==`` against a plain dict compares
-those.  The GFW filter reads rows through :meth:`observed` without
-building any object.
+those.  The GFW filter reads the live rows by column through
+:meth:`columns` without building any object.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from itertools import compress, repeat
+from operator import add, and_, mul, ne, rshift
+from typing import (
+    AbstractSet, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
+)
 
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
 
@@ -58,6 +63,20 @@ _OFFSET_SHIFT = 24
 _REFERRAL_ANSWERS = (DnsAnswer(rtype=RecordType.NS, target="a.root-servers.net"),)
 #: a broken resolver's bogus answer: ``::1``
 _BROKEN_ANSWERS = (DnsAnswer(rtype=RecordType.AAAA, address=1),)
+
+
+class RowColumns(NamedTuple):
+    """Live rows of a :class:`ResponseTable`, one list per field, in row order."""
+
+    responders: List[int]
+    #: each row's ``GENUINE_*`` code (``GENUINE_NONE``: no genuine answer)
+    variants: List[int]
+    #: each row's number of forged answers
+    counts: List[int]
+    #: the rows' forged answers, in row order: ``(payloads,)`` of an
+    #: A-record table (one IPv4 per answer), ``(lo, hi)`` 64-bit words of
+    #: a Teredo table
+    answers: Tuple[array, ...]
 
 
 class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
@@ -188,18 +207,42 @@ class ResponseTable(Mapping[int, Tuple[DnsResponse, ...]]):
         """Status and answers of a genuine response variant."""
         return self._genuine[variant]
 
-    def observed(self) -> Iterator[Tuple[int, int, Sequence[int]]]:
-        """``(responder, variant, forged)`` per row, in row order.
+    def columns(self, chosen: Optional[AbstractSet[int]] = None) -> RowColumns:
+        """The live rows whose responder is in ``chosen`` (every row when
+        ``None``), by column.
 
-        ``variant`` is the row's ``GENUINE_*`` code (see
-        :meth:`genuine`; ``GENUINE_NONE`` means no genuine answer) and
-        ``forged`` the addresses of its forged answers, one response
-        each, all of type :attr:`forged_rtype`.
+        Reads only the payload spans of those rows: slots left behind by
+        :meth:`drop`, or by the rows of a :meth:`take` source that were not
+        taken, are skipped.
         """
-        forged = self._forged
-        mask = GENUINE_MASK
-        for responder, code in self._rows.items():
-            yield responder, code & mask, forged(code)
+        rows = self._rows
+        if chosen is None or rows.keys() <= chosen:
+            responders = list(rows)
+            codes = list(rows.values())
+        else:
+            responders = [responder for responder in rows if responder in chosen]
+            codes = [rows[responder] for responder in responders]
+        counts = list(map(
+            and_, map(rshift, codes, repeat(_COUNT_SHIFT)), repeat(_COUNT_MASK)
+        ))
+        # copy the rows' payload spans, one slice per run of adjacent spans
+        width = 2 if self.wide else 1
+        starts = list(map(rshift, compress(codes, counts), repeat(_OFFSET_SHIFT)))
+        stops = list(map(
+            add, starts, map(mul, filter(None, counts), repeat(width))
+        ))
+        breaks = list(compress(range(1, len(starts)), map(ne, starts[1:], stops)))
+        payloads = self._payloads
+        gathered = array("Q")
+        for first, last in zip([0, *breaks], [*breaks, len(starts)]):
+            if first < last:
+                gathered += payloads[starts[first]:stops[last - 1]]
+        return RowColumns(
+            responders,
+            list(map(and_, codes, repeat(GENUINE_MASK))),
+            counts,
+            (gathered[0::2], gathered[1::2]) if self.wide else (gathered,),
+        )
 
     def __getitem__(self, responder: int) -> Tuple[DnsResponse, ...]:
         code = self._rows[responder]

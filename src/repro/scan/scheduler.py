@@ -348,9 +348,10 @@ class IncrementalScheduler:
                 udp |= int.from_bytes(survive64(draws, self._threshold64, kit), "little")
         survivors = list((fast | udp << 4).to_bytes(size, "little")[:n])
         plan = self._fault_plan
-        if plan is not None and plan.bursts:
+        lost = plan.bursts_on(day) if plan is not None else None
+        if lost is not None:
             for index, target in enumerate(targets):
-                if plan.burst_lost(target, day):
+                if lost(target):
                     survivors[index] = 0
         return survivors
 

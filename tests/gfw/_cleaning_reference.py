@@ -10,7 +10,7 @@ attribution and metrics.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
@@ -64,27 +64,43 @@ def clean_mapping(
     responses_of: Mapping[int, Tuple[DnsResponse, ...]],
 ) -> ScanCleaningResult:
     """``gfw.clean_scan(result)``, classifying ``responses_of`` (a plain
-    responder -> responses dict) one response object at a time."""
+    responder -> responses dict, in the table's row order) one response
+    object at a time.
+
+    Owners are attributed in the order the filter promises, which reaches
+    checkpoint bytes: the forged answers of injected responders in row
+    order, then their genuine answers in row order.  The ``injected``
+    flag of a response tells the two apart here; no verdict reads it.
+    """
     cleaning = ScanCleaningResult(day=result.day)
     evidence = cleaning.evidence_counts
     multiple = InjectionEvidence.MULTIPLE_RESPONSES
-    for responder in result.responders:
+    responders = result.responders
+    # responders without a row have no responses and stay clean
+    order = [responder for responder in responses_of if responder in responders]
+    order += [responder for responder in responders if responder not in responses_of]
+    genuine = []
+    for responder in order:
         responses = responses_of.get(responder, ())
         counts = classify_target(responses)
         if any(kind is not multiple for kind in counts):
             cleaning.injected_responders.add(responder)
             for kind, count in counts.items():
                 evidence[kind] = evidence.get(kind, 0) + count
-            gfw._attribute(
-                ipv4
-                for response in responses
-                for answer in response.answers
-                for ipv4 in _ipv4s_of(answer.rtype, (answer.address,))
-            )
+            gfw._attribute(_ipv4s(r for r in responses if r.injected))
+            genuine += [r for r in responses if not r.injected]
         else:
             cleaning.clean_responders.add(responder)
+    gfw._attribute(_ipv4s(genuine))
     gfw.ever_injected.update(cleaning.injected_responders)
     if gfw._metrics is not None:
         for kind, count in evidence.items():
             gfw._m_evidence.labels(kind=kind.value).inc(count)
     return cleaning
+
+
+def _ipv4s(responses: Iterable[DnsResponse]) -> Iterator[int]:
+    """IPv4s named by the A and Teredo AAAA answers of ``responses``."""
+    for response in responses:
+        for answer in response.answers:
+            yield from _ipv4s_of(answer.rtype, (answer.address,))

@@ -9,13 +9,16 @@ deterministic metrics.  Where the scalar reference prober
 (``tests/scan/_scanner_reference.py``) scans the same targets, its
 responses must equal the table's.  The contract test at the end pins
 the point of the table: a forged-answer scan plus its cleaning builds
-no response object at all.
+no response object at all, and tests evidence once per distinct high
+word, not once per forged answer.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.gfw import detector
+from repro.gfw import filter as filter_module
 from repro.gfw.detector import InjectionEvidence
 from repro.gfw.filter import GfwFilter
 from repro.obs import deterministic_metrics, registry_to_dict
@@ -23,7 +26,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.protocols import DnsAnswer, DnsResponse, Protocol
 from repro.runtime.faults import FaultPlan, RateLimit
 from repro.scan import engine as engine_module
-from repro.scan.responses import ResponseTable
+from repro.scan.responses import GENUINE_NONE, ResponseTable
 from repro.scan.zmap import Udp53Result, ZMapScanner
 from repro.simnet import build_internet, small_config
 from repro.simnet.gfwsim import InjectionMode
@@ -81,7 +84,8 @@ def _clean(udp53, responses_of=None):
         "clean_responders": cleaning.clean_responders,
         "injected_responders": cleaning.injected_responders,
         "evidence_counts": cleaning.evidence_counts,
-        "forged_answer_owners": gfw.forged_answer_owners,
+        # insertion order reaches checkpoint bytes
+        "forged_answer_owners": list(gfw.forged_answer_owners.items()),
         "ever_injected": gfw.ever_injected,
         "metrics": deterministic_metrics(registry_to_dict(registry)),
     }
@@ -97,7 +101,8 @@ def assert_same_cleaning(udp53):
 
 
 def _forged_counts(table):
-    return {responder: len(forged) for responder, _v, forged in table.observed()}
+    rows = table.columns()
+    return dict(zip(rows.responders, rows.counts))
 
 
 @pytest.mark.parametrize("mode", [InjectionMode.A_RECORD, InjectionMode.TEREDO])
@@ -238,9 +243,9 @@ def test_plain_mapping_rejected():
     assert not carried.injected_responders and not gfw.ever_injected
 
 
-def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
-    """Fused scan plus cleaning of a forged-answer day: zero responses
-    built, and no per-answer state left behind in the scanner."""
+def _clean_forged_day(world, targets, monkeypatch, mode):
+    """Scan and clean a forged-answer day of ``mode``, counting the
+    responses built and the ``answer_evidence`` calls made."""
     built = []
     original = DnsResponse.__init__
 
@@ -249,15 +254,40 @@ def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(DnsResponse, "__init__", counting_init)
+    tested = []
+    evidence = detector.answer_evidence
+
+    def counting_evidence(*args, **kwargs):
+        tested.append(args)
+        return evidence(*args, **kwargs)
+
+    monkeypatch.setattr(filter_module, "answer_evidence", counting_evidence)
+    monkeypatch.setattr(detector, "answer_evidence", counting_evidence)
     scanner = ZMapScanner(world, seed=1)
-    udp53 = scanner.scan_all_protocols(
-        targets, _era_day(world, InjectionMode.A_RECORD), QNAME
-    )[1]
+    udp53 = scanner.scan_all_protocols(targets, _era_day(world, mode), QNAME)[1]
     cleaning = GfwFilter(metrics=MetricsRegistry()).clean_scan(udp53)
     forged = sum(_forged_counts(udp53.responses).values())
     assert forged > 1000 and cleaning.injected_responders
     assert built == []
+    # one evidence test per A-record table or distinct Teredo high word,
+    # plus one per genuine variant: never one per forged answer
+    rows = udp53.responses.columns(udp53.responders)
+    variants = len(set(rows.variants) - {GENUINE_NONE})
+    if mode is InjectionMode.TEREDO:
+        assert len(tested) <= len(set(rows.answers[1])) + variants
+    else:
+        assert len(tested) <= 1 + variants
+    assert len(tested) < forged // 100
+    return scanner, udp53, forged, built
 
+
+def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
+    """Fused scan plus cleaning of a forged-answer day: zero responses
+    built, few evidence tests, and no per-answer state left behind in
+    the scanner."""
+    scanner, udp53, forged, built = _clean_forged_day(
+        world, targets, monkeypatch, InjectionMode.A_RECORD
+    )
     assert not hasattr(scanner, "_answer_cache")
     containers = [
         value for value in vars(scanner).values()
@@ -273,3 +303,9 @@ def test_forged_day_builds_no_response_objects(world, targets, monkeypatch):
     # reading a row is what builds its responses
     responder = next(iter(udp53.responses))
     assert len(udp53.responses[responder]) == len(built)
+
+
+def test_teredo_day_tests_evidence_per_high_word(world, targets, monkeypatch):
+    """A Teredo-era day: zero responses built, and one evidence test per
+    distinct high word of its forged answers."""
+    _clean_forged_day(world, targets, monkeypatch, InjectionMode.TEREDO)

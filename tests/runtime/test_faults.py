@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro._util import mix64
 from repro.hitlist import HitlistService, ServiceSettings
 from repro.hitlist.history_io import history_summary
 from repro.hitlist.sources import FlakySource, SourceUnavailable, StaticSource
@@ -24,6 +25,7 @@ from repro.runtime import (
     VantageOutage,
     load_fault_plan,
 )
+from repro.scan.scheduler import IncrementalScheduler
 from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet
 
@@ -256,6 +258,92 @@ class TestRetryPolicy:
         )
         targets = sorted(world.ground_truth.get("initial_input"))[:500]
         assert not _icmp(scanner, targets, 30)
+
+
+class TestBurstDays:
+    """Scans resolve the day's loss bursts once: a burst-free day of the
+    CI fault-smoke plan makes no per-target burst call, in the fused
+    scan, the APD wave or the scheduler's loss replay."""
+
+    #: the CI fault-smoke job's faults.json: a burst over days 70-84
+    SMOKE = {
+        "seed": 7,
+        "vantage_outages": [{"start_day": 42, "end_day": 49}],
+        "rate_limits": [{"asn": 1, "budget": 5, "protocols": ["ICMP"]}],
+        "loss_bursts": [{"start_day": 70, "end_day": 84, "loss_rate": 0.5}],
+        "source_outages": [{"source": "atlas", "start_day": 20, "end_day": 40}],
+    }
+
+    @pytest.fixture
+    def burst_calls(self, monkeypatch):
+        """Every per-target burst test, by the prober that made it."""
+        calls = []
+        resolve = FaultPlan.bursts_on
+
+        def counted(plan, day):
+            lost = resolve(plan, day)
+            if lost is None:
+                return None
+
+            def counting(address):
+                calls.append(address)
+                return lost(address)
+
+            return counting
+
+        monkeypatch.setattr(FaultPlan, "bursts_on", counted)
+        return calls
+
+    def test_burst_free_day_makes_no_per_target_call(self, world, config, burst_calls):
+        plan = FaultPlan.from_dict(self.SMOKE)
+        targets = sorted(world.ground_truth.get("initial_input"))[:1500]
+        scanner = ZMapScanner(
+            world, seed=config.seed, fault_plan=plan, retry=RetryPolicy(attempts=2)
+        )
+        scheduler = IncrementalScheduler(
+            seed=config.seed, retry_attempts=2, fault_plan=plan
+        )
+        probers = (
+            lambda day: scanner.scan_all_protocols(targets, day, "www.google.com"),
+            lambda day: scanner.apd_wave_bitmaps([targets[:300], targets[300:]], day),
+            lambda day: scheduler._replay(targets, day),
+        )
+        for probe in probers:
+            probe(60)  # after the outage, before the burst
+            assert burst_calls == []
+            probe(77)  # inside the burst: one test per probed target
+            assert len(burst_calls) > len(targets) // 2
+            del burst_calls[:]
+        assert plan.bursts_on(60) is None
+
+    def test_day_filter_matches_frozen_formula(self):
+        plan = FaultPlan(seed=3, bursts=(
+            LossBurst(5, 9, 0.25), LossBurst(8, 12, 0.4), LossBurst(20, 20, 1.0),
+        ))
+        span = 1 << 64
+
+        def reference(address, day):
+            # the per-address test before the day's windows were hoisted
+            for burst in plan.bursts:
+                if not burst.active(day):
+                    continue
+                draw = mix64((address & (span - 1)) ^ (address >> 64)
+                             ^ mix64(plan.seed ^ 0xB0B5))
+                start = mix64(plan.seed ^ (burst.start_day << 16)
+                              ^ burst.end_day ^ 0xFA11)
+                if (draw - start) % span < int(burst.loss_rate * span):
+                    return True
+            return False
+
+        addresses = [(0x2001 << 112) | n * 7919 for n in range(2000)]
+        for day in (4, 5, 8, 10, 13, 20):
+            expected = [reference(a, day) for a in addresses]
+            lost = plan.bursts_on(day)
+            assert (lost is None) == (day in (4, 13))
+            if lost is not None:
+                assert list(map(lost, addresses)) == expected
+                assert 0 < sum(expected)
+            assert [plan.burst_lost(a, day) for a in addresses] == expected
 
 
 class TestFaultedService:

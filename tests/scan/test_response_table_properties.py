@@ -6,9 +6,11 @@ forged-answer row its payload offset as it goes.  Over random row
 streams (A-record and Teredo-wide eras; rows with and without forged
 answers, with and without a genuine variant) cut into random chunks,
 empty ones included, the chunked table must hold the same rows, in the
-same order, as a table built by a single ``extend``: ``observed()``,
+same order, as a table built by a single ``extend``: ``columns()``,
 ``table[responder]`` and the rows a later ``take`` copies all agree,
-and ``observed()`` returns exactly the generated stream.
+and ``columns()`` returns exactly the generated stream, also for a
+chosen subset of rows and after ``drop`` and ``take`` leave slots
+behind.
 """
 
 from hypothesis import given, settings
@@ -58,10 +60,19 @@ def _table(wide: bool) -> ResponseTable:
     return ResponseTable(QNAME, RESOLVED, wide=wide)
 
 
-def _observed(table: ResponseTable):
+def _observed(table: ResponseTable, chosen=None):
+    """``(responder, variant, forged addresses)`` per row, from the columns."""
+    rows = table.columns(chosen)
+    if table.wide:
+        lows, highs = rows.answers
+        addresses = [lo | hi << 64 for lo, hi in zip(lows, highs)]
+    else:
+        (addresses,) = rows.answers
+    assert len(addresses) == sum(rows.counts)
+    answers = iter(addresses)
     return [
-        (responder, variant, list(forged))
-        for responder, variant, forged in table.observed()
+        (responder, variant, [next(answers) for _ in range(count)])
+        for responder, variant, count in zip(rows.responders, rows.variants, rows.counts)
     ]
 
 
@@ -109,3 +120,21 @@ def test_chunked_extend_matches_single_extend(data, wide):
         merged.append(target)
     _same(merged[1], merged[0])
     assert list(merged[0]) == list(prior) + kept
+    before = _observed(merged[0])
+    by_responder = {responder: (variant, forged) for responder, (variant, forged) in stream}
+    assert before == _observed(prior) + [
+        (responder, *by_responder[responder]) for responder in kept
+    ]
+
+    # dropped rows leave their payload slots behind, and a chosen subset
+    # reads only its own rows: neither may show up in the columns
+    target = merged[0]
+    dropped = set(data.draw(st.lists(st.sampled_from(list(target)), unique=True))
+                  if len(target) else [])
+    for responder in dropped:
+        target.drop(responder)
+    live = [row for row in before if row[0] not in dropped]
+    assert _observed(target) == live
+    chosen = set(data.draw(st.lists(st.sampled_from([row[0] for row in before])))
+                 if before else [])
+    assert _observed(target, chosen) == [row for row in live if row[0] in chosen]
