@@ -27,18 +27,33 @@ MAX_RUNS = 50
 
 
 def git_revision() -> Optional[str]:
-    """The short git revision of the repo, or None outside a checkout."""
-    try:
-        rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """The short git revision of the repo, or None outside a checkout.
+
+    ``+dirty`` marks a work tree whose tracked files differ from that
+    revision, so a sample measured before its change is committed does
+    not claim the parent's revision.
+    """
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args],
             cwd=pathlib.Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,
         )
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        if rev.returncode != 0 or not rev.stdout.strip():
+            return None
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.TimeoutExpired):
         return None
-    return rev.stdout.strip() or None if rev.returncode == 0 else None
+    revision = rev.stdout.strip()
+    if status.returncode == 0 and status.stdout.strip():
+        revision += "+dirty"
+    return revision
 
 
 def record_bench_time(

@@ -26,6 +26,7 @@ from repro.obs.tracing import Tracer
 from repro.protocols import ALL_PROTOCOLS, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import (
     DEFAULT_REFRESH_INTERVAL,
     DEFAULT_SAMPLE_RATE,
@@ -432,13 +433,13 @@ class HitlistService:
         #: probe-everything path bit-identical to earlier releases
         self.scheduler: Optional[IncrementalScheduler] = None
         if self.settings.scan_mode == "incremental":
+            # the coordinator's loss: campaign seed, unscoped plan
             self.scheduler = IncrementalScheduler(
                 seed=config.seed,
                 refresh_interval=self.settings.refresh_interval,
                 sample_rate=self.settings.sample_rate,
-                loss_rate=self.settings.loss_rate,
-                retry_attempts=self.settings.retry_attempts,
-                fault_plan=fault_plan,
+                loss=LossModel(config.seed, self.settings.loss_rate,
+                               self.settings.retry_attempts, fault_plan),
                 metrics=self.metrics,
             )
         self.tracer = YarrpTracer(

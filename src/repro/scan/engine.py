@@ -12,7 +12,8 @@ does all of it in one pass:
   oriented ground-truth walk;
 * per-target SplitMix64 loss/retry/injection draws run as bulk big-int
   SIMD over 128-bit lanes (:mod:`repro.scan.vecmix`) instead of one
-  finalizer chain per target.
+  finalizer chain per target; the loss draws, retries and bursts come
+  from the scanner's :class:`~repro.scan.loss.LossModel`.
 
 A scan walks its targets in fixed chunks of :data:`DEFAULT_CHUNK_SIZE`,
 which bounds the per-chunk column memory.  :func:`_scan_chunk` adds
@@ -36,27 +37,24 @@ chunk boundaries fall.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._util import mix64
 from repro.net.teredo import TEREDO_PREFIX
 from repro.protocols import APD_PROTOCOLS, DnsAnswer, Protocol, RecordType
 from repro.runtime.faults import FaultPlan
 from repro.scan.blocklist import Blocklist
-from repro.scan.loss import FAST_SALT, loss_inners
+from repro.scan.loss import Lanes, LossDay
 from repro.scan.responses import (
     FLAG_INJECTED, GENUINE_BROKEN_ANSWER, GENUINE_NOERROR, GENUINE_NXDOMAIN,
     GENUINE_REFERRAL, GENUINE_REFUSED, GENUINE_SERVFAIL, ResponseTable,
 )
-from repro.scan.vecmix import (
-    LaneKit, bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes,
-)
+from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, unpack_lanes
 from repro.simnet.gfwsim import _TEREDO_SERVERS, InjectionMode
 from repro.simnet.hosts import DnsBehavior
 from repro.simnet.internet import ControlNsQuery, SimInternet
 
 _M64 = 0xFFFFFFFFFFFFFFFF
-_UINT64_SPAN = float(1 << 64)
 # SplitMix64 finalizer constants (kept in sync with repro._util.mix64,
 # inlined in the remaining scalar loops below)
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -89,13 +87,12 @@ _BEHAVIOR_CODE = {
 
 class _ScanContext:
     """What the chunks of one fused scan read: the vantage's world,
-    blocklist and fault plan, its GFW-crossing memo, and the per-(day,
-    qname) constants hoisted out of the hot loop."""
+    blocklist and loss model for the day, its GFW-crossing memo, and
+    the per-(day, qname) constants hoisted out of the hot loop."""
 
     __slots__ = (
-        "internet", "is_blocked", "burst_lost", "crosses_cache", "day",
-        "qname", "attempts", "loss_threshold", "threshold16", "fast_inner",
-        "udp_inner", "inject_possible", "resolved", "is_control", "mday",
+        "internet", "is_blocked", "loss", "crosses_cache", "qname",
+        "inject_possible", "resolved", "is_control", "mday",
         "inject_day_hash", "burst_cut", "inj_ranges",
     )
 
@@ -103,29 +100,18 @@ class _ScanContext:
         self,
         internet: SimInternet,
         blocklist: Blocklist,
-        plan: Optional[FaultPlan],
+        loss: LossDay,
         crosses_cache: Dict[Optional[int], bool],
-        seed: int,
-        loss_rate: float,
-        attempts: int,
-        day: int,
         qname: str,
     ) -> None:
+        day = loss.day
         self.internet = internet
         self.is_blocked = blocklist.is_blocked if len(blocklist) else None
-        #: None on a day without an active loss burst
-        self.burst_lost = plan.bursts_on(day) if plan is not None else None
+        self.loss = loss
         #: GfwBoundary.crosses memo — day-independent, owned by the
         #: scanner and kept for the whole campaign
         self.crosses_cache = crosses_cache
-        self.day = day
         self.qname = qname
-        self.attempts = attempts
-        self.loss_threshold = int(loss_rate * _UINT64_SPAN)
-        self.threshold16 = int(loss_rate * 65536.0)
-        # inner mix64 of the loss formulas: constant per (day, attempt)
-        self.fast_inner = loss_inners(seed, day, FAST_SALT, attempts)
-        self.udp_inner = loss_inners(seed, day, int(Protocol.UDP53), attempts)
         gfw = internet.gfw
         self.inject_possible = (
             gfw.active_era(day) is not None and gfw.is_blocked(qname)
@@ -196,8 +182,8 @@ def _scan_chunk(
     """Fused five-protocol scan of one chunk, added to ``sink``.
 
     Per target: blocklist, then correlated bursts (every probe lost,
-    not retryable), then the :func:`repro.scan.loss.loss_inners` draws
-    per attempt, then the GFW injection draws.  Bit for bit what one
+    not retryable), then the loss draws of every attempt, then the GFW
+    injection draws.  Bit for bit what one
     single-protocol scan per protocol gives (the frozen reference
     prober in ``tests/scan/_scanner_reference.py``).  The outcome
     depends only on (scanner configuration, targets, day, qname);
@@ -205,7 +191,8 @@ def _scan_chunk(
     ``GfwBoundary.crosses``) is mutated.
     """
     internet = ctx.internet
-    day = ctx.day
+    loss = ctx.loss
+    day = loss.day
     qname = ctx.qname
 
     is_blocked = ctx.is_blocked
@@ -219,54 +206,24 @@ def _scan_chunk(
 
     # correlated loss bursts kill every probe of a target at once and
     # are not retryable — drop those targets before any draw
-    burst_lost = ctx.burst_lost
-    if burst_lost is not None:
-        kept = [target for target in live if not burst_lost(target)]
-        sink.burst_targets += len(live) - len(kept)
-        live = kept
-
-    n = len(live)
-    if n == 0:
+    kept = loss.unburst(live)
+    sink.burst_targets += len(live) - len(kept)
+    live = kept
+    if not live:
         return
 
     masks, asns, behaviors = internet.probe_batch_arrays(live, day, qname)
 
-    # bulk SplitMix64: one 64-bit base per target, padded to a
-    # power-of-two lane count so the LaneKit memo stays tiny
-    attempts = ctx.attempts
-    threshold16 = ctx.threshold16
-    loss_threshold = ctx.loss_threshold
-    size = 1 << (n - 1).bit_length() if n > 1 else 1
-    kit = lane_kit(size)
-    bases = [(target & _M64) ^ (target >> 64) for target in live]
-    if size != n:
-        bases.extend([0] * (size - n))
-    packed = pack_lanes(bases)
-
-    if threshold16:
-        nibs = [
-            survive16(bulk_mix64_xor(packed, inner, kit), threshold16, kit)
-            for inner in ctx.fast_inner
-        ]
-        nib0 = nibs[0]
-    else:
-        nib0 = b"\x0f" * n
-        nibs = [nib0]
-    if loss_threshold:
-        oks = [
-            survive64(bulk_mix64_xor(packed, inner, kit), loss_threshold, kit)
-            for inner in ctx.udp_inner
-        ]
-        ok0 = oks[0]
-    else:
-        ok0 = b"\x01" * n
-        oks = [ok0]
+    # retries count for fast probes of targets with a live protocol, and
+    # for every UDP/53 probe (the GFW can inject for a dead target too)
+    lanes = Lanes(live)
+    fast = loss.fast(lanes)
+    udp = loss.draw(lanes, Protocol.UDP53)
+    sink.retry_draws += fast.retries(masks) + udp.retries()
 
     inject_possible = ctx.inject_possible
     if inject_possible:
-        inj_draws = unpack_lanes(
-            bulk_mix64_xor(packed, ctx.inject_day_hash, kit), kit
-        )
+        inj_draws = lanes.unpack(lanes.mix(ctx.inject_day_hash))
         crosses = internet.gfw._boundary.crosses
         crosses_cache = ctx.crosses_cache
         burst_cut = ctx.burst_cut
@@ -278,7 +235,6 @@ def _scan_chunk(
     logs_control = ctx.is_control and open_code == GENUINE_NOERROR
     log_append = sink.control_log.append
     mday = ctx.mday
-    single = attempts == 1
 
     f0_add, f1_add, f2_add, f3_add = (found.add for found in sink.fast)
     udp_hits: List[int] = []
@@ -287,22 +243,13 @@ def _scan_chunk(
     udp_hits_append = udp_hits.append
     udp_metas_append = udp_metas.append
     inj_counts_append = inj_counts.append
-    retry_draws = 0
 
     for i, (target, mask, behavior, s, ok) in enumerate(
-        zip(live, masks, behaviors, nib0, ok0)
+        zip(live, masks, behaviors, fast.merged(), udp.merged())
     ):
         # fast protocols: four probes drawn from disjoint 16-bit slices
         # of one 64-bit hash
         if mask:
-            if not single and threshold16 and s != 0b1111:
-                for attempt in range(1, attempts):
-                    s |= nibs[attempt][i]
-                    if s == 0b1111:
-                        retry_draws += attempt
-                        break
-                else:
-                    retry_draws += attempts - 1
             if s & 1 and mask & 1:  # ICMP
                 f0_add(target)
             if s & 2 and mask & 2:  # TCP80
@@ -312,20 +259,8 @@ def _scan_chunk(
             if s & 8 and mask & 16:  # UDP443
                 f3_add(target)
 
-        # UDP/53: loss is drawn for every non-burst target (the GFW can
-        # inject even when the target itself is dead); the first
-        # surviving attempt keeps the probe
-        if not ok:
-            lost = True
-            for attempt in range(1, attempts):
-                if oks[attempt][i]:
-                    retry_draws += attempt
-                    lost = False
-                    break
-            else:
-                retry_draws += attempts - 1
-            if lost:
-                continue
+        if not ok:  # the UDP/53 probe is lost
+            continue
 
         meta = 0
         if inject_possible:
@@ -369,8 +304,6 @@ def _scan_chunk(
         if meta:
             udp_hits_append(target)
             udp_metas_append(meta)
-
-    sink.retry_draws += retry_draws
 
     # second bulk pass: the per-response injection draws.  The draw for
     # response k of a target is mix64(base_draw ^ (k+1)) — flatten all
@@ -429,25 +362,15 @@ class _ApdWave:
         internet: SimInternet,
         blocklist: Blocklist,
         plan: Optional[FaultPlan],
-        seed: int,
-        loss_rate: float,
-        attempts: int,
-        day: int,
+        loss: LossDay,
     ) -> None:
         self.internet = internet
         self.blocklist = blocklist
-        self.day = day
+        self.day = loss.day
         self.plan = plan
-        self.burst_lost: Optional[Callable[[int], bool]] = (
-            plan.bursts_on(day) if plan is not None else None
-        )
+        self.loss = loss
         self.limits = tuple(
             plan is not None and plan.limits_protocol(protocol)
-            for protocol in APD_PROTOCOLS
-        )
-        self.loss_threshold = int(loss_rate * _UINT64_SPAN)
-        self.inners = tuple(
-            loss_inners(seed, day, int(protocol), attempts)
             for protocol in APD_PROTOCOLS
         )
         self.count = 0
@@ -479,34 +402,26 @@ class _ApdWave:
         for probes in group:
             flat.extend(probes)
         n = len(flat)
+        loss = self.loss
         # on-wire flags (1 per probe that is neither blocked nor
         # swallowed by a burst); None when every probe goes out
         wire_flags: Optional[bytearray] = None
         blocklist = self.blocklist
-        burst_lost = self.burst_lost
-        if len(blocklist) or burst_lost is not None:
-            is_blocked = blocklist.is_blocked if len(blocklist) else None
+        if len(blocklist) or loss.burst_lost is not None:
+            scannable = range(n) if not len(blocklist) else [
+                position for position, probe in enumerate(flat)
+                if not blocklist.is_blocked(probe)
+            ]
+            positions = loss.unburst(scannable, flat.__getitem__)
+            self.count += len(scannable)
+            self.burst += len(scannable) - len(positions)
             wire_flags = bytearray(n)
-            on_wire: List[int] = []
-            positions: List[int] = []
-            scannable = 0
-            burst = 0
-            for position, probe in enumerate(flat):
-                if is_blocked is not None and is_blocked(probe):
-                    continue
-                scannable += 1
-                if burst_lost is not None and burst_lost(probe):
-                    burst += 1
-                    continue
-                wire_flags[position] = 1
-                on_wire.append(probe)
-                positions.append(position)
-            self.count += scannable
-            self.burst += burst
             masks = bytearray(n)
+            on_wire = [flat[position] for position in positions]
             for position, mask in zip(
                 positions, internet.probe_masks(on_wire, day)
             ):
+                wire_flags[position] = 1
                 masks[position] = mask
         else:
             self.count += n
@@ -514,20 +429,14 @@ class _ApdWave:
         answers = int.from_bytes(masks, "little")
 
         # per probe and protocol: 1 in the probe's byte when a probe of
-        # that protocol survives loss (retries included)
-        if self.loss_threshold:
-            size = 1 << (n - 1).bit_length() if n > 1 else 1
-            kit = lane_kit(size)
-            bases = [(probe & _M64) ^ (probe >> 64) for probe in flat]
-            if size != n:
-                bases.extend([0] * (size - n))
-            packed = pack_lanes(bases)
-            survived = [
-                self._survivors(packed, inners, kit, n, wire_flags)
-                for inners in self.inners
-            ]
-        else:
-            survived = [int.from_bytes(b"\x01" * n, "little")] * 2
+        # that protocol survives loss (retries included); retries count
+        # only for probes that went on the wire
+        lanes = Lanes(flat)
+        survived: List[int] = []
+        for protocol in APD_PROTOCOLS:
+            draw = loss.draw(lanes, protocol)
+            self.retry_draws += draw.retries(wire_flags)
+            survived.append(int.from_bytes(draw.merged(), "little"))
         icmp_hits = answers & survived[0]
         tcp_hits = (answers >> 1) & survived[1]
 
@@ -543,45 +452,6 @@ class _ApdWave:
             bitmaps.append(int(bits[offset:end][::-1], 2) if end > offset else 0)
             offset = end
         return bitmaps
-
-    def _survivors(
-        self,
-        packed: int,
-        inners: Tuple[int, ...],
-        kit: LaneKit,
-        n: int,
-        wire_flags: Optional[bytearray],
-    ) -> int:
-        """Loss survivors of one protocol, one 0/1 byte per probe.
-
-        A probe survives when any attempt draws at or above the
-        threshold, and adds the index of its first surviving attempt
-        (``attempts - 1`` when all are lost) to the retry draws —
-        counted only for probes that went on the wire.
-        """
-        threshold = self.loss_threshold
-        first = survive64(bulk_mix64_xor(packed, inners[0], kit), threshold, kit)
-        if len(inners) == 1:
-            return int.from_bytes(first[:n], "little")
-        retries = [
-            survive64(bulk_mix64_xor(packed, inner, kit), threshold, kit)
-            for inner in inners[1:]
-        ]
-        merged = bytearray(first[:n])
-        draws = 0
-        lost = merged.find(0)
-        while lost >= 0:
-            if wire_flags is None or wire_flags[lost]:
-                for attempt, retry in enumerate(retries, 1):
-                    if retry[lost]:
-                        draws += attempt
-                        merged[lost] = 1
-                        break
-                else:
-                    draws += len(retries)
-            lost = merged.find(0, lost + 1)
-        self.retry_draws += draws
-        return int.from_bytes(merged, "little")
 
     def _rate_limit(
         self, group: List[Sequence[int]], n: int, icmp_hits: int, tcp_hits: int

@@ -42,9 +42,9 @@ What a scan costs the scheduler follows what can change, not the pool
 size.  ``absorb`` walks only addresses that answered a probe this scan
 or hold a carry entry: for every other probed address the observed
 bits, the estimate and the update are all 0, and the pool is
-overwhelmingly silent.  Loss replay takes its per-(day, attempt) inner
-constants from :func:`repro.scan.loss.loss_inners`, as the engine does,
-and draws for all replayed targets in one lane pass.  ``plan`` rebuilds
+overwhelmingly silent.  Loss replay draws for all replayed targets in
+one lane pass of the scheduler's :class:`~repro.scan.loss.LossModel`,
+as the scanner's chunks and APD waves do.  ``plan`` rebuilds
 the /64 groups only for prefixes whose membership changed since the
 previous plan, keeps each prefix's refresh phase and member signature,
 and tests only the day-dependent conditions (refresh phase, /48
@@ -61,13 +61,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CH
 
 from repro._util import mix64
 from repro.protocols import Protocol
-from repro.scan.loss import FAST_SALT, loss_inners
-from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64
+from repro.scan.loss import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gfw.filter import ScanCleaningResult
     from repro.obs.metrics import MetricsRegistry
-    from repro.runtime.faults import FaultPlan
     from repro.scan.zmap import ScanResult, Udp53Result
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -220,10 +218,14 @@ class IncrementalScheduler:
 
     Priorities are fleet-global: the scheduler runs in the coordinator
     before sharding, so vantage members see only the probe set and
-    shard it exactly as before.  Loss replay uses the coordinator seed;
-    fleet members draw loss from per-vantage seeds, so multi-vantage
-    incremental runs trade a little extra divergence for the same probe
-    savings (the gate's bit-exactness claim is single-vantage).
+    shard it exactly as before.  ``seed`` drives the confirmation
+    lottery and the refresh phases.  ``loss`` (default
+    ``LossModel(seed)``) is the coordinator's loss model: campaign seed
+    and unscoped fault plan, which is member 0's model in a
+    single-vantage fleet.  Fleet members draw loss from per-vantage
+    seeds and scoped plans, so multi-vantage incremental runs trade a
+    little extra divergence for the same probe savings (the gate's
+    bit-exactness claim is single-vantage).
     """
 
     def __init__(
@@ -231,9 +233,7 @@ class IncrementalScheduler:
         seed: int = 0,
         refresh_interval: int = DEFAULT_REFRESH_INTERVAL,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
-        loss_rate: float = 0.03,
-        retry_attempts: int = 1,
-        fault_plan: Optional["FaultPlan"] = None,
+        loss: Optional[LossModel] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         if refresh_interval < 1:
@@ -244,12 +244,8 @@ class IncrementalScheduler:
         self.refresh_interval = refresh_interval
         self.sample_rate = sample_rate
         self._sample_threshold = int(sample_rate * _UINT64_SPAN)
-        # the scanner's loss-draw parameters, mirrored exactly (see the
-        # engine's fused fast-probe and UDP/53 draws)
-        self._threshold16 = int(loss_rate * 65536.0)
-        self._threshold64 = int(loss_rate * _UINT64_SPAN)
-        self._attempts = retry_attempts
-        self._fault_plan = fault_plan
+        #: the loss the replay re-applies to carried estimates
+        self.loss = loss if loss is not None else LossModel(seed)
         self._prefixes: Dict[int, PrefixPriority] = {}
         #: address -> estimated ground-truth response-mask bits
         self._carry: Dict[int, int] = {}
@@ -307,53 +303,6 @@ class IncrementalScheduler:
         if bits & BIT_UDP53 and not bits & BIT_INJECTED:
             visible |= BIT_UDP53
         return visible
-
-    # ------------------------------------------------------------------
-    # loss replay
-
-    def _replay(self, targets: Sequence[int], day: int) -> List[int]:
-        """Which of the five probes to each target survive loss on ``day``.
-
-        Replays the scanner's deterministic draws in one lane pass: the
-        fused 64-bit fast-protocol draw (16-bit slice per protocol), the
-        UDP/53 draw, retry re-draws, and correlated loss bursts, with the
-        engine's own per-(day, attempt) inner constants.  A probe
-        survives when any attempt does, so OR-ing every attempt's
-        survivors gives the scanner's early-exit retry loop bit for bit.
-        Pure computation — no ground-truth access, no probe budget.
-        """
-        n = len(targets)
-        if not n:
-            return []
-        size = 1 << (n - 1).bit_length()
-        kit = lane_kit(size)
-        # survivors are one byte per target: the fast nibble, then the
-        # UDP/53 bit; without loss every byte of a draw survives
-        every = int.from_bytes(b"\x01" * size, "little")
-        fast = _FAST_MASK * every
-        udp = every
-        if self._threshold16 or self._threshold64:
-            bases = [(target & _M64) ^ (target >> 64) for target in targets]
-            bases.extend([0] * (size - n))
-            packed = pack_lanes(bases)
-        if self._threshold16:
-            fast = 0
-            for inner in loss_inners(self._seed, day, FAST_SALT, self._attempts):
-                draws = bulk_mix64_xor(packed, inner, kit)
-                fast |= int.from_bytes(survive16(draws, self._threshold16, kit), "little")
-        if self._threshold64:
-            udp = 0
-            for inner in loss_inners(self._seed, day, int(Protocol.UDP53), self._attempts):
-                draws = bulk_mix64_xor(packed, inner, kit)
-                udp |= int.from_bytes(survive64(draws, self._threshold64, kit), "little")
-        survivors = list((fast | udp << 4).to_bytes(size, "little")[:n])
-        plan = self._fault_plan
-        lost = plan.bursts_on(day) if plan is not None else None
-        if lost is not None:
-            for index, target in enumerate(targets):
-                if lost(target):
-                    survivors[index] = 0
-        return survivors
 
     # ------------------------------------------------------------------
     # derived per-prefix state (never serialized)
@@ -574,7 +523,8 @@ class IncrementalScheduler:
         udp: Set[int] = set()
         carry = self._carry
         replayed = [address for address in plan.carried if carry.get(address, 0)]
-        for address, survivors in zip(replayed, self._replay(replayed, plan.day)):
+        survivors_of = self.loss.on(plan.day).survivors(replayed)
+        for address, survivors in zip(replayed, survivors_of):
             live = carry[address] & survivors
             if not live:
                 continue
@@ -634,7 +584,7 @@ class IncrementalScheduler:
             if hit:
                 touched.append((prefix, hit))
                 addresses.extend(hit)
-        survivors_of = iter(self._replay(addresses, day))
+        survivors_of = iter(self.loss.on(day).survivors(addresses))
         visible = self._visible
         # pass 1: fold observations into the carry store and classify
         # each probed prefix; /48 rotation detection needs the whole

@@ -8,7 +8,7 @@ oracle does not model: per-probe packet loss, deterministic per
 merge-with-previous-scans logic exists to absorb.
 
 :class:`ZMapScanner` is one vantage's prober: it holds the vantage's
-configuration (world, blocklist, loss, retries, fault plan), its probe
+configuration (world, blocklist, loss model, fault plan), its probe
 counter, metric handles and tracer, and runs the fused scan and the
 APD's probe waves over the kernels in :mod:`repro.scan.engine`.
 
@@ -31,6 +31,7 @@ from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan import engine
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import FAST_PROTOCOLS, SCAN_PROTOCOLS
+from repro.scan.loss import LossModel
 from repro.scan.responses import ResponseTable
 from repro.simnet.internet import SimInternet
 
@@ -111,10 +112,11 @@ class ZMapScanner:
             raise ValueError(f"loss rate out of range: {loss_rate}")
         self._internet = internet
         self._blocklist = blocklist or Blocklist()
-        self._loss_rate = loss_rate
-        self._seed = seed
+        #: per-probe loss, retries and loss bursts
+        self.loss = LossModel(
+            seed, loss_rate, 1 if retry is None else retry.attempts, fault_plan
+        )
         self._fault_plan = fault_plan
-        self._retry_attempts = 1 if retry is None else retry.attempts
         self.probes_sent = 0
         self._metrics = metrics
         self._tracer = tracer
@@ -261,9 +263,8 @@ class ZMapScanner:
         if not targets:
             return 0
         ctx = engine._ScanContext(
-            self._internet, self._blocklist, self._fault_plan,
-            self._crosses_cache, self._seed, self._loss_rate,
-            self._retry_attempts, day, qname,
+            self._internet, self._blocklist, self.loss.on(day),
+            self._crosses_cache, qname,
         )
         tracer = self._tracer
         observe = (
@@ -306,8 +307,7 @@ class ZMapScanner:
             # an outage sends no probe and records no metric
             return [0] * len(probe_lists)
         wave = engine._ApdWave(
-            self._internet, self._blocklist, plan, self._seed,
-            self._loss_rate, self._retry_attempts, day,
+            self._internet, self._blocklist, plan, self.loss.on(day)
         )
         bitmaps = wave.bitmaps(probe_lists)
         self._record_probes(

@@ -25,6 +25,7 @@ from repro.runtime import (
     VantageOutage,
     load_fault_plan,
 )
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import IncrementalScheduler
 from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet
@@ -301,12 +302,13 @@ class TestBurstDays:
             world, seed=config.seed, fault_plan=plan, retry=RetryPolicy(attempts=2)
         )
         scheduler = IncrementalScheduler(
-            seed=config.seed, retry_attempts=2, fault_plan=plan
+            seed=config.seed,
+            loss=LossModel(config.seed, attempts=2, fault_plan=plan),
         )
         probers = (
             lambda day: scanner.scan_all_protocols(targets, day, "www.google.com"),
             lambda day: scanner.apd_wave_bitmaps([targets[:300], targets[300:]], day),
-            lambda day: scheduler._replay(targets, day),
+            lambda day: scheduler.loss.on(day).survivors(targets),
         )
         for probe in probers:
             probe(60)  # after the outage, before the burst

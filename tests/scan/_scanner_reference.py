@@ -31,7 +31,7 @@ class ReferenceScanner(ZMapScanner):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: per-probe loss threshold on the 64-bit draw
-        self._loss_threshold = int(self._loss_rate * float(1 << 64))
+        self._loss_threshold = int(self.loss.loss_rate * float(1 << 64))
         #: extra loss re-draws taken since the last metrics flush
         self._retry_draws = 0
 
@@ -56,7 +56,7 @@ class ReferenceScanner(ZMapScanner):
         """Inner loss hashes of one scan; empty when nothing is lost."""
         if self._loss_threshold == 0:
             return ()
-        return loss_inners(self._seed, day, int(protocol), self._retry_attempts)
+        return loss_inners(self.loss.seed, day, int(protocol), self.loss.attempts)
 
     def _lost(self, address: int, inners: Tuple[int, ...]) -> bool:
         """I.i.d. loss only; callers check correlated bursts themselves

@@ -27,6 +27,7 @@ from repro.hitlist.service import ServiceSettings
 from repro.obs import deterministic_metrics, registry_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import FaultPlan, LossBurst
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import (
     _INJECTED_ONLY,
     BIT_INJECTED,
@@ -148,8 +149,21 @@ def _cleaning(day: int, udp: Set[int], injected: Set[int]) -> ScanCleaningResult
     )
 
 
+def _scheduler(config, metrics=None) -> IncrementalScheduler:
+    """The production scheduler for the ``ReferenceScheduler`` kwargs
+    ``config``, its loss model made from the same loss kwargs."""
+    config = dict(config)
+    loss = LossModel(
+        config["seed"],
+        config.pop("loss_rate", 0.03),
+        config.pop("retry_attempts", 1),
+        config.pop("fault_plan", None),
+    )
+    return IncrementalScheduler(**config, loss=loss, metrics=metrics)
+
+
 def _restored(scheduler: IncrementalScheduler, config, metrics) -> IncrementalScheduler:
-    clone = IncrementalScheduler(**config, metrics=metrics)
+    clone = _scheduler(config, metrics)
     clone.restore_state(scheduler.state_dict())
     return clone
 
@@ -169,7 +183,7 @@ def _compare(campaign, config, round_trip=None, save=None, rewind=None) -> Metri
     truth = dict(truth)
     saved = None
     new_metrics, ref_metrics = MetricsRegistry(), MetricsRegistry()
-    new = IncrementalScheduler(**config, metrics=new_metrics)
+    new = _scheduler(config, new_metrics)
     ref = ReferenceScheduler(**config, metrics=ref_metrics)
     # one pool object mutated in place between scans, as the service does
     pool = set(initial)

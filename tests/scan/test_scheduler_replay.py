@@ -1,8 +1,9 @@
 """Differential oracle: the scheduler's loss replay against the fused scan.
 
-A carried prefix merges bit-identically to a real probe only if
-``IncrementalScheduler._replay`` reproduces, per target and protocol,
-exactly which probes ``ZMapScanner``'s fused chunk scan lets through.
+A carried prefix merges bit-identically to a real probe only if the
+scheduler's replay (``LossDay.survivors`` of its loss model)
+reproduces, per target and protocol, exactly which probes
+``ZMapScanner``'s fused chunk scan lets through.
 Each generated case is checked three ways: the lane-pass replay, the
 pre-change scalar ``_survivors`` (kept in the frozen reference
 scheduler), and the scanner itself on a world in which every target
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.faults import FaultPlan, LossBurst, RetryPolicy
 from repro.scan.engine import FAST_PROTOCOLS
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import BIT_UDP53, IncrementalScheduler
 from repro.scan.zmap import ZMapScanner
 from repro.simnet.hosts import DnsBehavior
@@ -77,7 +79,9 @@ def _check(world, targets, day, seed, loss_rate, attempts, burst):
     plan = _fault_plan(burst, day, seed)
     kwargs = dict(seed=seed, loss_rate=loss_rate, retry_attempts=attempts,
                   fault_plan=plan)
-    replayed = IncrementalScheduler(**kwargs)._replay(targets, day)
+    loss = LossModel(seed, loss_rate, attempts, plan)
+    scheduler = IncrementalScheduler(seed=seed, loss=loss)
+    replayed = scheduler.loss.on(day).survivors(targets)
     reference = ReferenceScheduler(**kwargs)
     assert replayed == [reference._survivors(target, day) for target in targets]
     if loss_rate < 1.0:  # the scanner rejects certain loss
@@ -130,4 +134,4 @@ def test_replay_grid(small_world, loss_rate, attempts, burst):
 
 
 def test_replay_of_nothing():
-    assert IncrementalScheduler(seed=1)._replay([], 5) == []
+    assert IncrementalScheduler(seed=1).loss.on(5).survivors([]) == []
