@@ -435,11 +435,10 @@ class HitlistService:
         if self.settings.scan_mode == "incremental":
             # the coordinator's loss: campaign seed, unscoped plan
             self.scheduler = IncrementalScheduler(
-                seed=config.seed,
-                refresh_interval=self.settings.refresh_interval,
-                sample_rate=self.settings.sample_rate,
                 loss=LossModel(config.seed, self.settings.loss_rate,
                                self.settings.retry_attempts, fault_plan),
+                refresh_interval=self.settings.refresh_interval,
+                sample_rate=self.settings.sample_rate,
                 metrics=self.metrics,
             )
         self.tracer = YarrpTracer(

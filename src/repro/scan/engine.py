@@ -223,7 +223,7 @@ def _scan_chunk(
 
     inject_possible = ctx.inject_possible
     if inject_possible:
-        inj_draws = lanes.unpack(lanes.mix(ctx.inject_day_hash))
+        inj_draws = unpack_lanes(lanes.mix(ctx.inject_day_hash), lanes.kit)
         crosses = internet.gfw._boundary.crosses
         crosses_cache = ctx.crosses_cache
         burst_cut = ctx.burst_cut
@@ -407,12 +407,15 @@ class _ApdWave:
         # swallowed by a burst); None when every probe goes out
         wire_flags: Optional[bytearray] = None
         blocklist = self.blocklist
-        if len(blocklist) or loss.burst_lost is not None:
+        lost = loss.burst_lost
+        if len(blocklist) or lost is not None:
             scannable = range(n) if not len(blocklist) else [
                 position for position, probe in enumerate(flat)
                 if not blocklist.is_blocked(probe)
             ]
-            positions = loss.unburst(scannable, flat.__getitem__)
+            positions = scannable if lost is None else [
+                position for position in scannable if not lost(flat[position])
+            ]
             self.count += len(scannable)
             self.burst += len(scannable) - len(positions)
             wire_flags = bytearray(n)

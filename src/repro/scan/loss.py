@@ -18,16 +18,13 @@ coordinator's (see :class:`~repro.scan.scheduler.IncrementalScheduler`).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro._util import mix64
 from repro.protocols import Protocol
 from repro.runtime.faults import RETRY_SALT, FaultPlan
-from repro.scan.vecmix import (
-    bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes,
-)
+from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -65,10 +62,6 @@ class Lanes:
             bases = [(target & _M64) ^ (target >> 64) for target in self.targets]
             self._packed = pack_lanes(bases + [0] * (self.kit.n - self.n))
         return bulk_mix64_xor(self._packed, inner, self.kit)
-
-    def unpack(self, draws: int) -> array:
-        """The 64-bit value of every lane of ``draws``."""
-        return unpack_lanes(draws, self.kit)
 
 
 class Survivors:
@@ -158,17 +151,13 @@ class LossDay:
             for salt in (FAST_SALT, *map(int, Protocol))
         }
 
-    def unburst(
-        self, items: Sequence, address: Optional[Callable[[object], int]] = None
-    ) -> Sequence:
-        """The ``items`` no burst swallows, in order (``items`` itself on
-        a burst-free day); ``address`` maps an item to its address."""
+    def unburst(self, targets: Sequence[int]) -> Sequence[int]:
+        """The ``targets`` no burst swallows, in order (``targets`` itself
+        on a burst-free day)."""
         lost = self.burst_lost
         if lost is None:
-            return items
-        if address is not None:
-            return [item for item in items if not lost(address(item))]
-        return [item for item in items if not lost(item)]
+            return targets
+        return [target for target in targets if not lost(target)]
 
     def fast(self, lanes: Lanes) -> Survivors:
         """The fused fast draw: per target, the nibble of surviving
@@ -189,20 +178,3 @@ class LossDay:
             survive(lanes.mix(inner), threshold, lanes.kit)[:lanes.n]
             for inner in self._inners[salt]
         ], full)
-
-    def survivors(self, targets: Sequence[int]) -> List[int]:
-        """Per target, which of the fused scan's five probes survive any
-        attempt: the fast nibble in bits 0-3, UDP/53 in bit 4; 0 for a
-        target a burst swallows.  Pure computation, no probe budget."""
-        if not targets:
-            return []
-        lanes = Lanes(targets)
-        fast = int.from_bytes(self.fast(lanes).merged(), "little")
-        udp = int.from_bytes(self.draw(lanes, Protocol.UDP53).merged(), "little")
-        survivors = list((fast | udp << 4).to_bytes(len(targets), "little"))
-        lost = self.burst_lost
-        if lost is not None:
-            for index, target in enumerate(targets):
-                if lost(target):
-                    survivors[index] = 0
-        return survivors

@@ -43,8 +43,8 @@ size.  ``absorb`` walks only addresses that answered a probe this scan
 or hold a carry entry: for every other probed address the observed
 bits, the estimate and the update are all 0, and the pool is
 overwhelmingly silent.  Loss replay draws for all replayed targets in
-one lane pass of the scheduler's :class:`~repro.scan.loss.LossModel`,
-as the scanner's chunks and APD waves do.  ``plan`` rebuilds
+one lane pass of a :class:`~repro.scan.loss.LossModel`, the model the
+scanner's chunks and APD waves draw through.  ``plan`` rebuilds
 the /64 groups only for prefixes whose membership changed since the
 previous plan, keeps each prefix's refresh phase and member signature,
 and tests only the day-dependent conditions (refresh phase, /48
@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CH
 
 from repro._util import mix64
 from repro.protocols import Protocol
-from repro.scan.loss import LossModel
+from repro.scan.loss import Lanes, LossModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gfw.filter import ScanCleaningResult
@@ -93,6 +93,7 @@ BIT_UDP53 = 0x10
 #: the address's UDP/53 responses carried injection evidence
 BIT_INJECTED = 0x20
 _RESPONDER_BITS = 0x1F
+#: the fast-protocol nibble of a replayed survivor byte
 _FAST_MASK = 0x0F
 #: an address whose only "response" is a forged GFW injection: quiet in
 #: the cleaned view (the filter subtracts it), but its replay must keep
@@ -218,34 +219,32 @@ class IncrementalScheduler:
 
     Priorities are fleet-global: the scheduler runs in the coordinator
     before sharding, so vantage members see only the probe set and
-    shard it exactly as before.  ``seed`` drives the confirmation
-    lottery and the refresh phases.  ``loss`` (default
-    ``LossModel(seed)``) is the coordinator's loss model: campaign seed
-    and unscoped fault plan, which is member 0's model in a
-    single-vantage fleet.  Fleet members draw loss from per-vantage
-    seeds and scoped plans, so multi-vantage incremental runs trade a
-    little extra divergence for the same probe savings (the gate's
-    bit-exactness claim is single-vantage).
+    shard it exactly as before.  ``loss`` is the coordinator's loss
+    model (campaign seed, unscoped plan: member 0's in a solo fleet);
+    its seed also drives the lottery and the refresh phases.  Fleet
+    members draw loss from per-vantage seeds and scoped plans, so
+    multi-vantage incremental runs trade a little extra divergence for
+    the same probe savings (the gate's bit-exactness claim is
+    single-vantage).
     """
 
     def __init__(
         self,
-        seed: int = 0,
+        loss: Optional[LossModel] = None,
         refresh_interval: int = DEFAULT_REFRESH_INTERVAL,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
-        loss: Optional[LossModel] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         if refresh_interval < 1:
             raise ValueError(f"refresh_interval must be >= 1, got {refresh_interval}")
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be within [0, 1], got {sample_rate}")
-        self._seed = seed
+        #: the loss the replay re-applies to carried estimates
+        self.loss = loss if loss is not None else LossModel()
+        self._seed = self.loss.seed
         self.refresh_interval = refresh_interval
         self.sample_rate = sample_rate
         self._sample_threshold = int(sample_rate * _UINT64_SPAN)
-        #: the loss the replay re-applies to carried estimates
-        self.loss = loss if loss is not None else LossModel(seed)
         self._prefixes: Dict[int, PrefixPriority] = {}
         #: address -> estimated ground-truth response-mask bits
         self._carry: Dict[int, int] = {}
@@ -303,6 +302,33 @@ class IncrementalScheduler:
         if bits & BIT_UDP53 and not bits & BIT_INJECTED:
             visible |= BIT_UDP53
         return visible
+
+    # ------------------------------------------------------------------
+    # loss replay
+
+    def _replay(self, targets: Sequence[int], day: int) -> List[int]:
+        """Which of the five probes to each target survive loss on ``day``.
+
+        Replays the scanner's deterministic draws in one lane pass of
+        the scheduler's loss model: the fused fast-protocol nibble
+        (``_FAST_MASK``), the UDP/53 draw at ``BIT_UDP53`` and loss
+        bursts (0).  A probe survives when any attempt does, so this is
+        the scanner's early-exit retry loop bit for bit.
+        Pure computation — no ground-truth access, no probe budget.
+        """
+        if not targets:
+            return []
+        loss = self.loss.on(day)
+        lanes = Lanes(targets)
+        fast = int.from_bytes(loss.fast(lanes).merged(), "little")
+        udp = int.from_bytes(loss.draw(lanes, Protocol.UDP53).merged(), "little")
+        survivors = list((fast | udp * BIT_UDP53).to_bytes(len(targets), "little"))
+        lost = loss.burst_lost
+        if lost is not None:
+            for index, target in enumerate(targets):
+                if lost(target):
+                    survivors[index] = 0
+        return survivors
 
     # ------------------------------------------------------------------
     # derived per-prefix state (never serialized)
@@ -523,8 +549,7 @@ class IncrementalScheduler:
         udp: Set[int] = set()
         carry = self._carry
         replayed = [address for address in plan.carried if carry.get(address, 0)]
-        survivors_of = self.loss.on(plan.day).survivors(replayed)
-        for address, survivors in zip(replayed, survivors_of):
+        for address, survivors in zip(replayed, self._replay(replayed, plan.day)):
             live = carry[address] & survivors
             if not live:
                 continue
@@ -584,7 +609,7 @@ class IncrementalScheduler:
             if hit:
                 touched.append((prefix, hit))
                 addresses.extend(hit)
-        survivors_of = iter(self.loss.on(day).survivors(addresses))
+        survivors_of = iter(self._replay(addresses, day))
         visible = self._visible
         # pass 1: fold observations into the carry store and classify
         # each probed prefix; /48 rotation detection needs the whole

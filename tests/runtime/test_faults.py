@@ -302,13 +302,12 @@ class TestBurstDays:
             world, seed=config.seed, fault_plan=plan, retry=RetryPolicy(attempts=2)
         )
         scheduler = IncrementalScheduler(
-            seed=config.seed,
-            loss=LossModel(config.seed, attempts=2, fault_plan=plan),
+            loss=LossModel(config.seed, attempts=2, fault_plan=plan)
         )
         probers = (
             lambda day: scanner.scan_all_protocols(targets, day, "www.google.com"),
             lambda day: scanner.apd_wave_bitmaps([targets[:300], targets[300:]], day),
-            lambda day: scheduler.loss.on(day).survivors(targets),
+            lambda day: scheduler._replay(targets, day),
         )
         for probe in probers:
             probe(60)  # after the outage, before the burst

@@ -4,8 +4,8 @@ The fused scan chunk, the APD wave and the scheduler's replay all draw
 probe loss through :class:`repro.scan.loss.LossModel`.  Here each
 target's merged survivors and first surviving attempt are checked, per
 draw, against one ``mix64`` chain per (target, attempt) written out
-below; so are the burst filter, the five-probe survivor masks and the
-retry counts.  The last tests pin which model the service's scheduler
+below; so are the burst filter, the retry counts and the scheduler's
+five-probe survivor bytes built from the model's draws.  The last tests pin which model the service's scheduler
 holds.
 """
 
@@ -20,6 +20,7 @@ from repro.hitlist.service import HitlistService, ServiceSettings
 from repro.protocols import Protocol
 from repro.runtime.faults import RETRY_SALT, FaultPlan, LossBurst
 from repro.scan.loss import FAST_SALT, Lanes, LossModel
+from repro.scan.scheduler import BIT_UDP53, IncrementalScheduler
 from repro.simnet import small_config
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -98,7 +99,8 @@ addresses = st.integers(min_value=0, max_value=(1 << 128) - 1)
 )
 def test_draws_match_scalar_reference(targets, day, seed, loss_rate, attempts, burst):
     plan = _plan(burst, day, seed)
-    loss = LossModel(seed, loss_rate, attempts, plan).on(day)
+    model = LossModel(seed, loss_rate, attempts, plan)
+    loss = model.on(day)
     lanes = Lanes(targets)
     fast = _check_draw(loss.fast(lanes), targets, day, seed, loss_rate, attempts)
     draws = {
@@ -109,8 +111,8 @@ def test_draws_match_scalar_reference(targets, day, seed, loss_rate, attempts, b
     }
     lost = [plan is not None and plan.burst_lost(target, day) for target in targets]
     assert loss.unburst(targets) == [t for t, dead in zip(targets, lost) if not dead]
-    assert loss.survivors(targets) == [
-        0 if dead else got | udp << 4
+    assert IncrementalScheduler(loss=model)._replay(targets, day) == [
+        0 if dead else got | udp * BIT_UDP53
         for (got, _), (udp, _), dead in zip(fast, draws[Protocol.UDP53], lost)
     ]
 

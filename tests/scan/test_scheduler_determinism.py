@@ -122,10 +122,9 @@ def test_state_dict_round_trip(config):
     payload = scheduler.state_dict()
 
     clone = IncrementalScheduler(
-        seed=scheduler._seed,
+        loss=scheduler.loss,
         refresh_interval=scheduler.refresh_interval,
         sample_rate=scheduler.sample_rate,
-        loss=scheduler.loss,
     )
     clone.restore_state(payload)
     assert clone.state_dict() == payload
@@ -174,7 +173,7 @@ def test_synthetic_pool_tiling_under_churn():
     """The tiling property holds for adversarial pool churn, without a
     simulated internet: members appear, disappear, and whole prefixes
     rotate between plans."""
-    scheduler = IncrementalScheduler(seed=7, loss=LossModel(7, loss_rate=0.0))
+    scheduler = IncrementalScheduler(loss=LossModel(7, loss_rate=0.0))
     base = [
         ((0x2001 << 112) | ((i % 97) << 64) | (i * 0x9E37) & 0xFFFF)
         for i in range(400)

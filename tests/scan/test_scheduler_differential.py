@@ -154,7 +154,7 @@ def _scheduler(config, metrics=None) -> IncrementalScheduler:
     ``config``, its loss model made from the same loss kwargs."""
     config = dict(config)
     loss = LossModel(
-        config["seed"],
+        config.pop("seed", 0),
         config.pop("loss_rate", 0.03),
         config.pop("retry_attempts", 1),
         config.pop("fault_plan", None),

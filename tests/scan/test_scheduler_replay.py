@@ -1,7 +1,7 @@
 """Differential oracle: the scheduler's loss replay against the fused scan.
 
-A carried prefix merges bit-identically to a real probe only if the
-scheduler's replay (``LossDay.survivors`` of its loss model)
+A carried prefix merges bit-identically to a real probe only if
+``IncrementalScheduler._replay`` (a lane pass of its loss model)
 reproduces, per target and protocol, exactly which probes
 ``ZMapScanner``'s fused chunk scan lets through.
 Each generated case is checked three ways: the lane-pass replay, the
@@ -80,8 +80,7 @@ def _check(world, targets, day, seed, loss_rate, attempts, burst):
     kwargs = dict(seed=seed, loss_rate=loss_rate, retry_attempts=attempts,
                   fault_plan=plan)
     loss = LossModel(seed, loss_rate, attempts, plan)
-    scheduler = IncrementalScheduler(seed=seed, loss=loss)
-    replayed = scheduler.loss.on(day).survivors(targets)
+    replayed = IncrementalScheduler(loss=loss)._replay(targets, day)
     reference = ReferenceScheduler(**kwargs)
     assert replayed == [reference._survivors(target, day) for target in targets]
     if loss_rate < 1.0:  # the scanner rejects certain loss
@@ -134,4 +133,4 @@ def test_replay_grid(small_world, loss_rate, attempts, burst):
 
 
 def test_replay_of_nothing():
-    assert IncrementalScheduler(seed=1).loss.on(5).survivors([]) == []
+    assert IncrementalScheduler(loss=LossModel(1))._replay([], 5) == []
