@@ -18,8 +18,8 @@ record, which response objects and packed scan rows share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Container, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Container, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.net.teredo import is_teredo
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
@@ -40,15 +40,40 @@ class Ipv4Whois:
 
     Mirrors what the paper gets from WHOIS/routing data when checking
     that injected answers belong to Facebook/Microsoft/Dropbox rather
-    than Google.  Entries are ``(base, prefix_len, owner_asn)``.
+    than Google.  Entries are ``(base, prefix_len, owner_asn)``: CIDR
+    blocks with their host bits zero that do not overlap, indexed by
+    length so an owner lookup costs one dict probe per range length.
     """
 
     ranges: Tuple[Tuple[int, int, int], ...]
+    #: (shift, {base >> shift: owner}) per distinct range length
+    _index: Tuple[Tuple[int, Dict[int, int]], ...] = field(
+        init=False, repr=False, compare=False)
+    #: ``ipv4 >> block_shift`` names a block of the finest range size;
+    #: every range is a union of such blocks, so a block has one owner
+    block_shift: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tables: Dict[int, Dict[int, int]] = {}
+        spans = []
+        for base, length, owner in self.ranges:
+            size = 1 << (32 - length)
+            if base % size:
+                raise ValueError(f"whois range {base:#010x}/{length} has host bits set")
+            spans.append((base, base + size))
+            tables.setdefault(32 - length, {})[base >> (32 - length)] = owner
+        spans.sort()
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            if start < end:
+                raise ValueError(f"whois ranges overlap at {start:#010x}")
+        object.__setattr__(self, "_index", tuple(tables.items()))
+        object.__setattr__(self, "block_shift", min(tables, default=32))
 
     def owner_of(self, ipv4: int) -> Optional[int]:
         """The ASN whose allocation contains ``ipv4``, if known."""
-        for base, length, owner in self.ranges:
-            if base <= ipv4 < base + (1 << (32 - length)):
+        for shift, table in self._index:
+            owner = table.get(ipv4 >> shift)
+            if owner is not None:
                 return owner
         return None
 

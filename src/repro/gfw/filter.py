@@ -26,8 +26,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, gt, or_, sub, xor
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import add, and_, gt, or_, rshift, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
@@ -41,8 +41,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.protocols import RecordType
 from repro.scan.responses import GENUINE_NONE, ResponseTable
 from repro.scan.zmap import Udp53Result
-
-_MISSING = object()
 
 
 def _ipv4s_of(rtype: RecordType, addresses: Iterable[int]) -> Iterable[int]:
@@ -72,15 +70,20 @@ def _rows_with_any(counts: Sequence[int], flags: Sequence[bool]) -> List[bool]:
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 
-def _teredo_clients(lows: array) -> Iterable[Tuple[int, int]]:
-    """``(client IPv4, answers)`` of Teredo low words, IPv4s distinct and
-    in first-seen order.
+def _teredo_blocks(lows: array, shift: int) -> Dict[int, int]:
+    """Answers per whois block (``ipv4 >> shift``) of the client IPv4s
+    of Teredo low words, blocks in first-seen order.
 
     A Teredo address's low 32 bits are its client IPv4's ones-complement
-    (RFC 4380); they are counted straight off the words' memory.
+    (RFC 4380); they are counted straight off the words' memory, and a
+    block of complements maps to the complement block.
     """
-    halves = Counter(memoryview(lows).cast("B").cast("I")[_LOW_HALF::2])
-    return zip(map(xor, halves, repeat(0xFFFFFFFF)), halves.values())
+    halves = memoryview(lows).cast("B").cast("I")[_LOW_HALF::2]
+    flip = 0xFFFFFFFF >> shift
+    return {
+        block ^ flip: count
+        for block, count in Counter(map(rshift, halves, repeat(shift))).items()
+    }
 
 
 @dataclass
@@ -106,8 +109,6 @@ class GfwFilter:
         #: the paper's Facebook/Microsoft/Dropbox observation
         self.forged_answer_owners: Dict[int, int] = {}
         self._whois = whois
-        #: memoized ``whois.owner_of`` results (forged IPv4s recur)
-        self._owner_cache: Dict[int, Optional[int]] = {}
         self._metrics = metrics
         if metrics is not None:
             self._m_evidence = metrics.counter(
@@ -117,21 +118,23 @@ class GfwFilter:
 
     def _attribute(self, ipv4s: Iterable[int], times: int = 1) -> None:
         """Count forged-answer IPv4s, ``times`` each, against their owners."""
-        self._attribute_counts(Counter(ipv4s).items(), times)
+        shift = self._whois.block_shift
+        self._attribute_blocks(Counter(map(rshift, ipv4s, repeat(shift))), times)
 
-    def _attribute_counts(
-        self, tallies: Iterable[Tuple[int, int]], times: int = 1
-    ) -> None:
-        """Count ``(ipv4, answers)`` pairs of distinct IPv4s, ``times``
-        each, against their owners."""
-        # forged answers recycle a small IPv4 pool, so owner lookups are
-        # memoized (the whois scan dominated the per-scan cleaning cost)
-        owner_cache = self._owner_cache
+    def _attribute_blocks(self, blocks: Dict[int, int], times: int = 1) -> None:
+        """Count answers per whois block (``ipv4 >> whois.block_shift``),
+        ``times`` each, against the blocks' owners.
+
+        A block lies in one whois range or in none, so owners are
+        resolved once per distinct block rather than once per IPv4, and
+        an owner enters :attr:`forged_answer_owners` at its first block,
+        which holds its first IPv4.
+        """
         owners = self.forged_answer_owners
-        for ipv4, count in tallies:
-            owner = owner_cache.get(ipv4, _MISSING)
-            if owner is _MISSING:
-                owner = owner_cache[ipv4] = self._whois.owner_of(ipv4)
+        owner_of = self._whois.owner_of
+        shift = self._whois.block_shift
+        for block, count in blocks.items():
+            owner = owner_of(block << shift)
             if owner is not None:
                 owners[owner] = owners.get(owner, 0) + count * times
 
@@ -245,7 +248,7 @@ class GfwFilter:
                 if picked is not None:
                     keep = map(and_, picked, keep)
                 lows = array("Q", compress(lows, keep))
-            self._attribute_counts(_teredo_clients(lows))
+            self._attribute_blocks(_teredo_blocks(lows, self._whois.block_shift))
         else:
             self._attribute(lows if picked is None else compress(lows, picked))
         for variant, count in variant_rows.items():

@@ -630,13 +630,11 @@ class HitlistService:
         every earlier round dropped its own, so the pool never contains
         an address under a previously detected alias.
         """
-        apd = self.apd
-        aliased_now = {alias.prefix for alias in apd.aliased_prefixes}
         # group newly aliased networks by prefix length: one set lookup
         # per (address, length) instead of a walk over every new alias
         drops: Dict[int, Set[int]] = {}
         for prefix in changed:
-            if prefix in aliased_now:
+            if self.apd.is_aliased(prefix):
                 shift = 128 - prefix.length
                 drops.setdefault(shift, set()).add(prefix.value >> shift)
         if not drops:

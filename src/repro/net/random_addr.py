@@ -52,20 +52,31 @@ def spread_addresses(prefix: IPv6Prefix, count: int = 16, nonce: int = 0) -> Lis
     >>> sorted({(a >> (128 - 36)) & 0xF for a in probes})
     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
     """
+    return spread_network(prefix.value, prefix.length, count, nonce)
+
+
+def spread_network(
+    value: int, length: int, count: int = 16, nonce: int = 0
+) -> List[int]:
+    """:func:`spread_addresses` of the prefix ``value/length``.
+
+    The int form for callers that keep prefixes as ``(value, length)``
+    pairs, such as the APD candidate table; ``value`` must have its host
+    bits zeroed, as :attr:`IPv6Prefix.value` does.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     sub_bits = (count - 1).bit_length()
     if (1 << sub_bits) != count:
         raise ValueError(f"count must be a power of two, got {count}")
-    new_length = min(prefix.length + sub_bits, 128)
+    new_length = min(length + sub_bits, 128)
     # inlined pseudo_random_address over each nth_subprefix: identical
     # digests, but pure int arithmetic instead of per-subprefix objects
     # (this runs 16x per APD candidate, every detection round)
     host_bits = 128 - new_length
     step = 1 << host_bits
     host_mask = step - 1
-    value = prefix.value
-    span = 1 << (new_length - prefix.length)
+    span = 1 << (new_length - length)
     if host_bits == 0:
         return [value + index for index in range(span)]
     sha256 = hashlib.sha256

@@ -12,7 +12,7 @@ loop iteration per address bit.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from repro.net.prefix import IPv6Prefix
 
@@ -129,6 +129,27 @@ class PrefixTrie(Generic[V]):
                 if value is not _EMPTY:
                     return IPv6Prefix(bits, length), value
         return None
+
+    def covered(self, networks: List[int], length: int) -> Set[int]:
+        """The ``/length`` networks that a shorter stored prefix covers
+        and that are not stored themselves.
+
+        :meth:`covering_prefix` per prefix names exactly these (its most
+        specific covering entry is another prefix); this asks the
+        per-length dicts on ints, for a batch of equal-length network
+        values with their host bits zeroed.
+        """
+        covered: Set[int] = set()
+        for stored, shift, table in self._probes:
+            if stored < length:
+                covered.update(
+                    network for network in networks if network >> shift in table
+                )
+        own = self._tables.get(length)
+        if covered and own:
+            shift = 128 - length
+            covered = {network for network in covered if network >> shift not in own}
+        return covered
 
     def items(self) -> Iterator[Tuple[IPv6Prefix, V]]:
         """Iterate ``(prefix, value)`` pairs in address order.

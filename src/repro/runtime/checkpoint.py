@@ -26,10 +26,8 @@ import hashlib
 import json
 import os
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.net.prefix import IPv6Prefix
-from repro.net.trie import PrefixTrie
 from repro.protocols import ALL_PROTOCOLS
 from repro.runtime.faults import FaultPlan
 from repro.simnet.config_io import config_from_dict, config_to_dict
@@ -141,34 +139,6 @@ def _encode_day_map(mapping: Dict[int, int]) -> List[List[int]]:
     return sorted([key, value] for key, value in mapping.items())
 
 
-def _encode_prefix(prefix: IPv6Prefix) -> List[int]:
-    return [prefix.value, prefix.length]
-
-
-def _decode_prefix(entry: Sequence[int]) -> IPv6Prefix:
-    return IPv6Prefix(int(entry[0]), int(entry[1]))
-
-
-def _encode_aliases(aliases) -> List[List[Any]]:
-    return [
-        [alias.prefix.value, alias.prefix.length, alias.first_detected_day, alias.level]
-        for alias in aliases
-    ]
-
-
-def _decode_aliases(entries):
-    from repro.hitlist.apd import DetectedAlias
-
-    return [
-        DetectedAlias(
-            prefix=IPv6Prefix(int(value), int(length)),
-            first_detected_day=int(day),
-            level=str(level),
-        )
-        for value, length, day, level in entries
-    ]
-
-
 def _encode_by_protocol(mapping) -> Dict[str, List[int]]:
     return {
         protocol.label: sorted(mapping.get(protocol, ()))
@@ -235,6 +205,8 @@ def _snapshot_from_dict(data: Dict[str, Any]):
 
 def service_state(service: "HitlistService") -> Dict[str, Any]:
     """Capture the complete live pipeline state of a service."""
+    from repro.hitlist.apd import encode_aliases
+
     history = service.history
     apd = service.apd
     gfw = service.gfw_filter
@@ -281,7 +253,7 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
                 str(day): {
                     "responders": _encode_by_protocol(scan.responders),
                     "injected": _encode_addresses(scan.injected),
-                    "aliased_prefixes": _encode_aliases(scan.aliased_prefixes),
+                    "aliased_prefixes": encode_aliases(scan.aliased_prefixes),
                 }
                 for day, scan in history.retained.items()
             },
@@ -300,28 +272,13 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
         # volatile by definition and cannot be part of the bit-identical
         # resume contract
         "obs": {"metrics": service.metrics.state_dict(include_volatile=False)},
-        "apd": {
-            "history": [
-                _encode_prefix(prefix) + [list(bitmaps)]
-                for prefix, bitmaps in apd._history.items()
-            ],
-            "candidate_level": [
-                _encode_prefix(prefix) + [level]
-                for prefix, level in apd._candidate_level.items()
-            ],
-            "last_tested": [
-                _encode_prefix(prefix) + [day]
-                for prefix, day in apd._last_tested.items()
-            ],
-            "aliased": _encode_aliases(apd._aliased.values()),
-            "seen_slash64": sorted(apd._seen_slash64),
-            "followup": [_encode_prefix(prefix) for prefix in apd._followup],
-        },
+        "apd": apd.state_dict(),
     }
 
 
 def restore_service_state(service: "HitlistService", payload: Dict[str, Any]) -> None:
     """Overwrite a freshly constructed service with checkpointed state."""
+    from repro.hitlist.apd import decode_aliases
     from repro.hitlist.service import RetainedScan
 
     state = payload["service"]
@@ -362,7 +319,7 @@ def restore_service_state(service: "HitlistService", payload: Dict[str, Any]) ->
             day=int(day),
             responders=_decode_by_protocol(scan["responders"], frozenset),
             injected=frozenset(map(int, scan["injected"])),
-            aliased_prefixes=tuple(_decode_aliases(scan["aliased_prefixes"])),
+            aliased_prefixes=tuple(decode_aliases(scan["aliased_prefixes"])),
         )
         for day, scan in hist["retained"].items()
     }
@@ -387,28 +344,7 @@ def restore_service_state(service: "HitlistService", payload: Dict[str, Any]) ->
     if obs_state is not None:
         service.metrics.restore_state(obs_state.get("metrics", {}))
 
-    apd_state = payload["apd"]
-    apd = service.apd
-    apd._history = {
-        _decode_prefix((value, length)): [int(bitmap) for bitmap in bitmaps]
-        for value, length, bitmaps in apd_state["history"]
-    }
-    apd._candidate_level = {
-        _decode_prefix((value, length)): str(level)
-        for value, length, level in apd_state["candidate_level"]
-    }
-    apd._last_tested = {
-        _decode_prefix((value, length)): int(day)
-        for value, length, day in apd_state["last_tested"]
-    }
-    apd._aliased = {}
-    trie: PrefixTrie = PrefixTrie()
-    for alias in _decode_aliases(apd_state["aliased"]):
-        apd._aliased[alias.prefix] = alias
-        trie[alias.prefix] = alias
-    apd._aliased_trie = trie
-    apd._seen_slash64 = set(map(int, apd_state["seen_slash64"]))
-    apd._followup = {_decode_prefix(entry) for entry in apd_state["followup"]}
+    service.apd.restore_state(payload["apd"])
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,10 @@ class SimInternet:
         The ground-truth walk of :meth:`probe_batch_arrays` without the
         origin-AS and DNS-behavior columns, for probes that only ask
         "does it answer", e.g. the APD's ICMP + TCP/80 spot checks; the
-        routing table is never touched.
+        routing table is never touched.  The region is resolved once per
+        run of targets in one /64 (an APD probe list of a /64-or-longer
+        candidate is 16 such targets), except in a /64 holding a region
+        longer than /64, where each target takes its own longest match.
         """
         region_cache = self._region_cache
         long_slash64s = self._long_region_slash64s
@@ -359,18 +362,28 @@ class SimInternet:
         seed = self._seed
         icmp = int(Protocol.ICMP)
         masks = bytearray(len(targets))
+        previous = long = None
+        region_mask = 0
         for index, target in enumerate(targets):
             slash64 = target >> 64
-            if slash64 in long_slash64s:
+            if slash64 != previous:
+                previous = slash64
+                long = slash64 in long_slash64s
+                if not long:
+                    region = region_cache.get(slash64, _MISSING)
+                    if region is _MISSING:
+                        region = longest_value(target)
+                        region_cache[slash64] = region
+                    region_mask = 0
+                    if region is not None and region.active(day):
+                        region_mask = int(region.protocols)
+            if long:
                 region = longest_value(target)
+                mask = 0
+                if region is not None and region.active(day):
+                    mask = int(region.protocols)
             else:
-                region = region_cache.get(slash64, _MISSING)
-                if region is _MISSING:
-                    region = longest_value(target)
-                    region_cache[slash64] = region
-            mask = 0
-            if region is not None and region.active(day):
-                mask = int(region.protocols)
+                mask = region_mask
             host = hosts_get(target)
             if host is not None and host.is_up(target, day, seed):
                 mask |= host.protocols

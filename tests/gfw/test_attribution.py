@@ -1,6 +1,15 @@
 """Tests for forged-answer owner attribution (Sec. 4.2)."""
 
-from repro.gfw.filter import GfwFilter
+from array import array
+from collections import Counter
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro._util import mix64
+from repro.gfw.detector import Ipv4Whois
+from repro.gfw.filter import GfwFilter, _teredo_blocks
 from repro.net.teredo import encode_teredo
 from tests.gfw._tables import NOERROR, NONE, scan_result
 
@@ -52,3 +61,79 @@ class TestAttribution:
         owners = set(f.forged_answer_owners)
         assert owners <= {32934, 8075, 19679}
         assert owners, "injected answers must map to unrelated operators"
+
+
+#: aligned, disjoint ranges of several lengths, one owner holding two
+WHOIS = Ipv4Whois(ranges=(
+    (0x1F0D5800, 21, 32934),
+    (0x0D6B4000, 18, 8075),
+    (0xA27D0000, 16, 19679),
+    (0xA27E0000, 24, 8075),
+    (0x08080800, 29, 15169),
+))
+
+
+def _scalar_owners(whois, ipv4s, times):
+    """Per IPv4 in first-seen order, its owner by a walk of the ranges."""
+    owners = {}
+    for ipv4, count in Counter(ipv4s).items():
+        for base, length, owner in whois.ranges:
+            if base <= ipv4 < base + (1 << (32 - length)):
+                owners[owner] = owners.get(owner, 0) + count * times
+                break
+    return list(owners.items())
+
+
+_ipv4s = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from([base for base, _, _ in WHOIS.ranges]),
+            st.integers(min_value=0, max_value=(1 << 17) - 1),
+        ).map(lambda pair: pair[0] + pair[1]),
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+    ),
+    max_size=60,
+)
+
+
+class TestOwnerBlocks:
+    """Owners resolve once per whois block; totals and first-seen order
+    match a per-IPv4 walk of the ranges."""
+
+    @given(scans=st.lists(_ipv4s, max_size=4), times=st.integers(1, 3))
+    def test_attribute_matches_per_ipv4_walk(self, scans, times):
+        f = GfwFilter(whois=WHOIS)
+        expected = {}
+        for ipv4s in scans:
+            f._attribute(ipv4s, times)
+            for owner, count in _scalar_owners(WHOIS, ipv4s, times):
+                expected[owner] = expected.get(owner, 0) + count
+            assert list(f.forged_answer_owners.items()) == list(expected.items())
+
+    @given(ipv4s=_ipv4s)
+    def test_teredo_blocks_match_client_ipv4s(self, ipv4s):
+        lows = array("Q", [
+            (mix64(index) & 0xFFFFFFFF) << 32 | ipv4 ^ 0xFFFFFFFF
+            for index, ipv4 in enumerate(ipv4s)
+        ])
+        f = GfwFilter(whois=WHOIS)
+        f._attribute_blocks(_teredo_blocks(lows, WHOIS.block_shift))
+        assert list(f.forged_answer_owners.items()) == _scalar_owners(WHOIS, ipv4s, 1)
+
+    def test_block_shift_is_the_finest_range(self):
+        assert WHOIS.block_shift == 3
+        assert Ipv4Whois(ranges=()).block_shift == 32
+
+    def test_owner_of_one_probe_per_length(self):
+        assert WHOIS.owner_of(0xA27E00FF) == 8075
+        assert WHOIS.owner_of(0xA27F0000) is None
+        assert WHOIS.owner_of(0x08080807) == 15169
+        assert WHOIS.owner_of(0x08080808) is None
+
+    def test_misaligned_range_rejected(self):
+        with pytest.raises(ValueError, match="host bits"):
+            Ipv4Whois(ranges=((0x1F0D5801, 21, 32934),))
+
+    def test_overlapping_ranges_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            Ipv4Whois(ranges=((0xA27D0000, 16, 19679), (0xA27D8000, 17, 8075)))

@@ -64,6 +64,6 @@ class TestNestedSkipping:
         apd.run(0, [], None, small_world.routing.base)
         assert region.prefix in {a.prefix for a in apd.aliased_prefixes}
         # after the reconfirm interval, the alias itself is re-tested
-        before = apd._last_tested[region.prefix]
+        before = apd.candidate(region.prefix).last_tested
         apd.run(40, [], None, small_world.routing.base)
-        assert apd._last_tested[region.prefix] > before
+        assert apd.candidate(region.prefix).last_tested > before

@@ -1,7 +1,7 @@
 """Differential oracle: the APD wave pass against per-prefix scans.
 
 ``AliasedPrefixDetection._batch_bitmaps`` probes a whole wave of
-candidates through ``ZMapScanner.apd_wave_bitmaps``, the chunked
+candidate keys through ``ZMapScanner.apd_wave_bitmaps``, the chunked
 columnar path; the frozen reference ``probe_bitmap``
 (``tests/scan/_scanner_reference.py``) runs two plain single-protocol
 scans per prefix.  Two fresh detectors on one
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro._util import mix64
-from repro.hitlist.apd import AliasedPrefixDetection
+from repro.hitlist.apd import AliasedPrefixDetection, candidate_key
 from repro.net.prefix import IPv6Prefix
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import Protocol
@@ -56,6 +56,16 @@ def wave(small_world) -> List[IPv6Prefix]:
     return unique
 
 
+class _Rib:
+    """Announces the given prefixes, as ``RibSnapshot.prefixes`` does."""
+
+    def __init__(self, prefixes: List[IPv6Prefix]) -> None:
+        self._prefixes = prefixes
+
+    def prefixes(self):
+        return ((prefix, 0) for prefix in self._prefixes)
+
+
 def _detector(world, blocklist=None, scanner_class=ZMapScanner, **scanner_args):
     metrics = MetricsRegistry()
     scanner = scanner_class(
@@ -72,7 +82,7 @@ def _compare(world, prefixes, day=DAY, blocklist=None, **scanner_args):
     scalar, scalar_scanner, scalar_metrics = _detector(
         world, blocklist, ReferenceScanner, **scanner_args
     )
-    got = batched._batch_bitmaps(prefixes, day)
+    got = batched._batch_bitmaps([candidate_key(p) for p in prefixes], day)
     want = [probe_bitmap(scalar, prefix, day, attempt=0) for prefix in prefixes]
     assert got == want
     assert batched_scanner.probes_sent == scalar_scanner.probes_sent
@@ -201,11 +211,20 @@ def test_wave_metrics_match_per_prefix_rounds(small_world, wave):
     ``test_prefix`` call per prefix, over rounds that alias, near-miss
     and de-list prefixes at every candidate level."""
     full = (1 << 16) - 1
-    levels = ("bgp", "slash64", "longer")
     batched, _scanner, batched_metrics = _detector(small_world)
     single, _scanner, single_metrics = _detector(small_world)
-    for index, prefix in enumerate(wave):
-        batched._candidate_level[prefix] = single._candidate_level[prefix] = levels[index % 3]
+    # every third prefix is announced, a dense /64 adds "longer"
+    # candidates, and the rest keep the "slash64" level
+    base = 0x20010DB8 << 96
+    members = [base | index for index in range(120)]
+    extra: set = set()
+    for detector in (batched, single):
+        detector.bgp_candidates(_Rib(wave[::3]))
+        extra = detector.candidates_for_new_input(members, {base >> 64: members})
+    wave = wave + sorted(extra)
+    assert {"bgp", "slash64", "longer"} <= {
+        single.candidate(prefix).level for prefix in wave}
+    keys = [candidate_key(prefix) for prefix in wave]
 
     def bitmap(index: int, day: int) -> int:
         draw = mix64(index * 1009 + day)
@@ -218,16 +237,15 @@ def test_wave_metrics_match_per_prefix_rounds(small_world, wave):
         changed: set = set()
         batched._test_wave([], day, changed)
         assert batched_metrics.state_dict() == single_metrics.state_dict()
-        batched._test_wave(wave, day, changed)
+        batched._test_wave(keys, day, changed)
         expected = set()
         for prefix, value in zip(wave, bitmaps):
-            was = prefix in single._aliased
+            was = single.is_aliased(prefix)
             if single.test_prefix(prefix, day, bitmap=value) != was:
                 expected.add(prefix)
         assert changed == expected
-        assert batched._aliased == single._aliased
-        assert batched._followup == single._followup
-        assert batched._history == single._history
+        assert batched.aliased_prefixes == single.aliased_prefixes
+        assert list(map(batched.candidate, wave)) == list(map(single.candidate, wave))
         assert batched_metrics.state_dict() == single_metrics.state_dict()
     verdicts = single_metrics.get("repro_apd_alias_verdicts_total")
     assert {labels[0] for labels, _ in verdicts.series_items()} == {"aliased", "delisted"}
@@ -246,12 +264,13 @@ def test_standalone_test_prefix(small_world, wave):
     )
     for day in (DAY, DAY, DAY + 30, DAY + 31):
         for prefix in prefixes:
-            attempt = len(scalar._history.get(prefix, ()))
+            attempt = len(scalar.candidate(prefix).history)
             want = scalar.test_prefix(
                 prefix, day, bitmap=probe_bitmap(scalar, prefix, day, attempt)
             )
             assert batched.test_prefix(prefix, day) == want
-        assert batched._history == scalar._history
+        assert list(map(batched.candidate, prefixes)) == list(
+            map(scalar.candidate, prefixes))
         assert batched_scanner.probes_sent == scalar_scanner.probes_sent
         assert batched_metrics.state_dict() == scalar_metrics.state_dict()
     assert batched.aliased_count > 0

@@ -36,6 +36,29 @@ def test_covering_prefix_matches_bruteforce(stored, probe):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sets(prefix_strategy, min_size=1, max_size=25),
+    st.lists(st.integers(min_value=0, max_value=MAX_ADDRESS), max_size=12),
+    st.integers(min_value=0, max_value=128),
+)
+def test_covered_matches_covering_prefix(stored, addresses, length):
+    """``covered`` names the networks whose most specific covering
+    entry is another, shorter prefix."""
+    trie = PrefixTrie()
+    for prefix in stored:
+        trie[prefix] = True
+    # some networks are stored prefixes themselves, or nest inside them
+    probes = [IPv6Prefix(address, length) for address in addresses]
+    probes += [IPv6Prefix(p.value, length) for p in stored if p.length <= length]
+    networks = [probe.value for probe in probes]
+    expected = {
+        probe.value for probe in probes
+        if (hit := trie.covering_prefix(probe)) is not None and hit[0] != probe
+    }
+    assert trie.covered(networks, length) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sets(prefix_strategy, min_size=1, max_size=25),
     st.integers(min_value=0, max_value=MAX_ADDRESS),
 )
 def test_covers_matches_bruteforce(stored, address):
